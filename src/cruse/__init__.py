@@ -18,8 +18,8 @@ from .macs import MacReport, macs_model
 from .models import (
     ModelGraph,
     ModelSpec,
+    StreamState,
     build_model,
-    create_state,
     cruse_spec,
     format_model_name,
     infer_frame,
@@ -46,8 +46,8 @@ __all__ = [
     "macs_model",
     "ModelGraph",
     "ModelSpec",
+    "StreamState",
     "build_model",
-    "create_state",
     "cruse_spec",
     "format_model_name",
     "infer_frame",

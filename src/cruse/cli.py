@@ -19,15 +19,18 @@ from . import datagen as dg
 from . import metrics as mt
 from .audio_io import read_wav, write_wav
 from .dsp import StftConfig, istft, make_window, stft
-from .layers import GruWeights, gru_step, parallel_rnn_step
+from .layers import GRU_GATES, gru_step, zero_rnn_weights
 from .macs import macs_gru, macs_lstm, macs_model
 from .models import (
+    StreamState,
     build_model,
     format_model_name,
+    infer_frame,
     infer_utterance,
     init_test_weights,
     load_weights,
     parse_model_name,
+    rnn_block_step,
 )
 from .streaming import enhance_signal
 
@@ -195,46 +198,36 @@ def _check_streaming_equivalence():
     graph = init_test_weights(build_model(parse_model_name("CRUSE4-64-1xGRU2")), 99)
     rng = np.random.default_rng(3)
     feats = rng.standard_normal((30, 161))
-    from .models import create_state, infer_frame
-
-    state = create_state(graph)
+    state = StreamState(graph)
     streamed = np.stack([infer_frame(graph, state, f) for f in feats])
     err = float(np.max(np.abs(streamed - infer_utterance(graph, feats))))
     return err < 1e-6, f"max gain difference {err:.2e}"
 
 
 def _check_block_diagonal_gru():
-    rng = np.random.default_rng(11)
-    p, chunk = 4, 6
+    # the P groups of a seeded bottleneck against one block-diagonal GRU
+    graph = init_test_weights(build_model(parse_model_name("CRUSE4-64-1xGRU4")), 11)
+    layer = graph.bottleneck
+    cells = [stack[0] for stack in layer.groups]
+    p, chunk = len(cells), cells[0].width
     width = p * chunk
-    groups = [
-        GruWeights(
-            rng.standard_normal((3 * chunk, chunk)),
-            rng.standard_normal((3 * chunk, chunk)),
-            rng.standard_normal(3 * chunk),
-            rng.standard_normal(3 * chunk),
-        )
-        for _ in range(p)
-    ]
-    big = GruWeights(
-        np.zeros((3 * width, width)), np.zeros((3 * width, width)),
-        np.zeros(3 * width), np.zeros(3 * width),
-    )
-    for g, cell in enumerate(groups):
+    big = zero_rnn_weights(GRU_GATES, width, width)
+    for g, cell in enumerate(cells):
         lo = g * chunk
-        for gate in range(3):
+        for gate in range(GRU_GATES):
             rows = slice(gate * width + lo, gate * width + lo + chunk)
             cell_rows = slice(gate * chunk, (gate + 1) * chunk)
             big.w_input[rows, lo : lo + chunk] = cell.w_input[cell_rows]
             big.w_hidden[rows, lo : lo + chunk] = cell.w_hidden[cell_rows]
             big.b_input[rows] = cell.b_input[cell_rows]
             big.b_hidden[rows] = cell.b_hidden[cell_rows]
+    rng = np.random.default_rng(11)
     x = rng.standard_normal(width)
     h = rng.standard_normal(width)
-    grouped, _ = parallel_rnn_step(groups, x, [h[g * chunk : (g + 1) * chunk] for g in range(p)])
+    grouped = rnn_block_step(layer, x, [[[h[g * chunk : (g + 1) * chunk]]] for g in range(p)])
     full, _ = gru_step(big, x, h)
     err = float(np.max(np.abs(grouped - full)))
-    return err < 1e-6, f"max difference {err:.2e}"
+    return err < 1e-6, f"{p} groups of {chunk}, max difference {err:.2e}"
 
 
 def _check_mac_monotonicity():

@@ -308,8 +308,8 @@ class AssetStore:
         return len(self.load(asset_id)) / self.sample_rate
 
 
-def _draw_segments(rng, pool, clip_seconds, store):
-    first = pool[rng.integers(len(pool))]
+def _segment_ids(rng, first, pool, clip_seconds, store):
+    # first, then draws from pool until the clip is filled (at most 16 segments)
     ids = [first.asset_id]
     total = store.duration(first.asset_id)
     while total < clip_seconds and len(ids) < 16:
@@ -330,24 +330,18 @@ def sample_recipe(rng: np.random.Generator, store: AssetStore,
     """
     if not store.speech or not store.noise:
         raise ValueError("asset store needs at least one speech and one noise file")
-    speech_pool = store.speech
-    first = speech_pool[rng.integers(len(speech_pool))]
-    same_class = [e for e in speech_pool if e.reverberant == first.reverberant]
-    speech_ids = [first.asset_id]
-    total = store.duration(first.asset_id)
-    while total < clip_seconds and len(speech_ids) < 16:
-        extra = same_class[rng.integers(len(same_class))]
-        speech_ids.append(extra.asset_id)
-        total += store.duration(extra.asset_id)
-
-    noise_ids = _draw_segments(rng, store.noise, clip_seconds, store)
+    first = store.speech[rng.integers(len(store.speech))]
+    same_class = [e for e in store.speech if e.reverberant == first.reverberant]
+    speech_ids = _segment_ids(rng, first, same_class, clip_seconds, store)
+    noise_first = store.noise[rng.integers(len(store.noise))]
+    noise_ids = _segment_ids(rng, noise_first, store.noise, clip_seconds, store)
 
     rir_id = None
     if not first.reverberant and store.rirs and rng.random() < REVERB_AUGMENT_PROB:
         rir_id = store.rirs[rng.integers(len(store.rirs))].asset_id
 
     return MixtureRecipe(
-        speech_ids=tuple(speech_ids),
+        speech_ids=speech_ids,
         noise_ids=noise_ids,
         rir_id=rir_id,
         snr_db=float(rng.normal(SNR_MEAN_DB, SNR_STD_DB)),

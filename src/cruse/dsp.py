@@ -45,6 +45,11 @@ class StftConfig:
         return self.fft_len // 2 + 1
 
     @property
+    def hop_ms(self) -> float:
+        """Duration of one hop in milliseconds (10 ms at the defaults)."""
+        return 1000.0 * self.hop_len / self.sample_rate
+
+    @property
     def head_pad(self) -> int:
         """Zeros prepended to the signal so the first frame is causal-aligned."""
         return self.window_len - self.hop_len
@@ -123,8 +128,16 @@ def istft(spec: np.ndarray, config: StftConfig = StftConfig()) -> np.ndarray:
         acc[f * hop : f * hop + wlen] += segments[f]
         env[f * hop : f * hop + wlen] += wsq
 
-    out = np.where(env > _ENVELOPE_EPS, acc / np.maximum(env, _ENVELOPE_EPS), 0.0)
+    out = normalize_overlap_add(acc, env)
     return out[config.head_pad : config.head_pad + frames * hop]
+
+
+def normalize_overlap_add(acc: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """Divide overlap-added samples by their accumulated squared-window envelope.
+
+    Positions whose envelope is at most ``_ENVELOPE_EPS`` are emitted as zero.
+    """
+    return np.where(env > _ENVELOPE_EPS, acc / np.maximum(env, _ENVELOPE_EPS), 0.0)
 
 
 def log_power_features(spec: np.ndarray, floor: float = DEFAULT_LOG_FLOOR) -> np.ndarray:

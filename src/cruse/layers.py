@@ -28,31 +28,17 @@ LSTM_GATES = 4
 
 
 @dataclass
-class GruWeights:
-    """Stacked gate weights for one GRU cell (gate order r, z, n)."""
+class RnnWeights:
+    """Stacked gate weights for one recurrent cell.
 
-    w_input: np.ndarray   # (3*width, in_dims)
-    w_hidden: np.ndarray  # (3*width, width)
-    b_input: np.ndarray   # (3*width,)
-    b_hidden: np.ndarray  # (3*width,)
+    A GRU stacks 3 gates (r, z, n) and an LSTM 4 (i, f, g, o), so the gate
+    count is implied by the shapes: ``w_hidden`` is ``(gates*width, width)``.
+    """
 
-    @property
-    def width(self) -> int:
-        return self.w_hidden.shape[1]
-
-    @property
-    def in_dims(self) -> int:
-        return self.w_input.shape[1]
-
-
-@dataclass
-class LstmWeights:
-    """Stacked gate weights for one LSTM cell (gate order i, f, g, o)."""
-
-    w_input: np.ndarray   # (4*width, in_dims)
-    w_hidden: np.ndarray  # (4*width, width)
-    b_input: np.ndarray
-    b_hidden: np.ndarray
+    w_input: np.ndarray   # (gates*width, in_dims)
+    w_hidden: np.ndarray  # (gates*width, width)
+    b_input: np.ndarray   # (gates*width,)
+    b_hidden: np.ndarray  # (gates*width,)
 
     @property
     def width(self) -> int:
@@ -63,21 +49,12 @@ class LstmWeights:
         return self.w_input.shape[1]
 
 
-def zero_gru_weights(in_dims: int, width: int) -> GruWeights:
-    return GruWeights(
-        np.zeros((GRU_GATES * width, in_dims)),
-        np.zeros((GRU_GATES * width, width)),
-        np.zeros(GRU_GATES * width),
-        np.zeros(GRU_GATES * width),
-    )
-
-
-def zero_lstm_weights(in_dims: int, width: int) -> LstmWeights:
-    return LstmWeights(
-        np.zeros((LSTM_GATES * width, in_dims)),
-        np.zeros((LSTM_GATES * width, width)),
-        np.zeros(LSTM_GATES * width),
-        np.zeros(LSTM_GATES * width),
+def zero_rnn_weights(gates: int, in_dims: int, width: int) -> RnnWeights:
+    return RnnWeights(
+        np.zeros((gates * width, in_dims)),
+        np.zeros((gates * width, width)),
+        np.zeros(gates * width),
+        np.zeros(gates * width),
     )
 
 
@@ -88,7 +65,7 @@ def fc_forward(weight: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarra
     return weight @ x + bias
 
 
-def gru_step(weights: GruWeights, x: np.ndarray, h: np.ndarray):
+def gru_step(weights: RnnWeights, x: np.ndarray, h: np.ndarray):
     """One GRU update; returns ``(y, h_new)`` with ``y = h_new``."""
     w = weights.width
     if x.shape[0] != weights.in_dims or h.shape[0] != w:
@@ -105,7 +82,7 @@ def gru_step(weights: GruWeights, x: np.ndarray, h: np.ndarray):
     return h_new, h_new
 
 
-def lstm_step(weights: LstmWeights, x: np.ndarray, h: np.ndarray, c: np.ndarray):
+def lstm_step(weights: RnnWeights, x: np.ndarray, h: np.ndarray, c: np.ndarray):
     """One LSTM update; returns ``(y, h_new, c_new)`` with ``y = h_new``."""
     w = weights.width
     if x.shape[0] != weights.in_dims or h.shape[0] != w or c.shape[0] != w:
@@ -216,26 +193,6 @@ def activation_apply(kind: str, x: np.ndarray) -> np.ndarray:
     if kind == "none":
         return x
     raise ValueError(f"unknown activation {kind!r}")
-
-
-def parallel_rnn_step(groups, x: np.ndarray, states):
-    """Step P disconnected GRUs over contiguous equal chunks of ``x``.
-
-    Equivalent to a single GRU whose gate matrices are block-diagonal with
-    the P group matrices.  Returns ``(y, new_states)`` with the group outputs
-    concatenated in order.
-    """
-    p = len(groups)
-    if x.shape[0] % p:
-        raise ValueError(f"input length {x.shape[0]} not divisible by {p} groups")
-    chunk = x.shape[0] // p
-    outs = []
-    new_states = []
-    for g, (weights, h) in enumerate(zip(groups, states)):
-        y, h_new = gru_step(weights, x[g * chunk : (g + 1) * chunk], h)
-        outs.append(y)
-        new_states.append(h_new)
-    return np.concatenate(outs), new_states
 
 
 def skip_combine(kind: str, enc: np.ndarray, dec: np.ndarray, scale=None, bias=None) -> np.ndarray:

@@ -4,14 +4,15 @@ Counting convention: one unit per weight multiply and one per bias add;
 activations, the STFT, and feature extraction are excluded.  Transposed
 convolutions count only the multiplies that contribute to retained
 (non-cropped) output positions, i.e. the work of a streaming implementation
-that computes exactly the outputs it emits.  Per-second figures assume the
-10 ms hop (100 frames/s).
+that computes exactly the outputs it emits.  Per-second figures use the hop
+of the default :class:`StftConfig` (10 ms, 100 frames/s).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dsp import StftConfig
 from .layers import GRU_GATES, LSTM_GATES
 from .models import (
     ConvLayer,
@@ -22,9 +23,6 @@ from .models import (
     TconvLayer,
     format_model_name,
 )
-
-FRAMES_PER_SECOND = 100
-
 
 @dataclass(frozen=True)
 class LayerMacs:
@@ -45,7 +43,8 @@ class MacReport:
 
     @property
     def per_second(self) -> int:
-        return self.per_frame * FRAMES_PER_SECOND
+        cfg = StftConfig()
+        return self.per_frame * cfg.sample_rate // cfg.hop_len
 
 
 def macs_fc(in_dims: int, out_dims: int) -> int:

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import active_rms
+from .datagen import ACTIVITY_RANGE_DB, active_rms
 from .dsp import DEFAULT_LOG_FLOOR, StftConfig, istft, stft
 
 SISDR_CAP_DB = 100.0
 CEPSTRAL_ORDER = 24
-ACTIVITY_RANGE_DB = 40.0
 
 
 @dataclass(frozen=True)

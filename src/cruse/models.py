@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .layers import (
-    GruWeights,
-    LstmWeights,
+    GRU_GATES,
+    LSTM_GATES,
     activation_apply,
     conv2d_step,
     fc_forward,
@@ -29,8 +29,7 @@ from .layers import (
     lstm_step,
     skip_combine,
     tconv2d_step,
-    zero_gru_weights,
-    zero_lstm_weights,
+    zero_rnn_weights,
 )
 
 DEFAULT_NUM_BINS = 161
@@ -176,7 +175,7 @@ class RnnLayer:
 
     name: str
     kind: str                    # "gru" | "lstm"
-    groups: list                 # P entries, each a list of N cell weights
+    groups: list                 # P entries, each a list of N RnnWeights
 
     def param_arrays(self):
         out = []
@@ -194,6 +193,11 @@ class RnnLayer:
     @property
     def width(self) -> int:
         return sum(stack[0].width for stack in self.groups)
+
+    @property
+    def carried(self) -> int:
+        """State vectors per cell: ``[h]`` for a GRU, ``[h, c]`` for an LSTM."""
+        return 1 if self.kind == "gru" else 2
 
 
 @dataclass
@@ -273,12 +277,6 @@ def conv_freq_sizes(num_bins: int, layers: int) -> list[int]:
     return sizes
 
 
-def _make_cell(kind: str, in_dims: int, width: int):
-    if kind == "gru":
-        return zero_gru_weights(in_dims, width)
-    return zero_lstm_weights(in_dims, width)
-
-
 def build_model(spec: ModelSpec) -> ModelGraph:
     """Construct a zero-weighted graph with all shapes resolved.
 
@@ -291,8 +289,8 @@ def build_model(spec: ModelSpec) -> ModelGraph:
         r = spec.rnn_width
         stack = [
             FcLayer("fc_in", np.zeros((r, k)), np.zeros(r), "relu"),
-            RnnLayer("gru1", "gru", [[zero_gru_weights(r, r)]]),
-            RnnLayer("gru2", "gru", [[zero_gru_weights(r, r)]]),
+            RnnLayer("gru1", "gru", [[zero_rnn_weights(GRU_GATES, r, r)]]),
+            RnnLayer("gru2", "gru", [[zero_rnn_weights(GRU_GATES, r, r)]]),
             FcLayer("fc1", np.zeros((NSNET2_FC_WIDTH, r)), np.zeros(NSNET2_FC_WIDTH), "relu"),
             FcLayer(
                 "fc2",
@@ -332,8 +330,9 @@ def build_model(spec: ModelSpec) -> ModelGraph:
             f"is not divisible by {p} parallel groups"
         )
     group_width = width // p
+    gates = GRU_GATES if spec.rnn_kind == "gru" else LSTM_GATES
     groups = [
-        [_make_cell(spec.rnn_kind, group_width, group_width) for _ in range(spec.rnn_layers)]
+        [zero_rnn_weights(gates, group_width, group_width) for _ in range(spec.rnn_layers)]
         for _ in range(p)
     ]
     bottleneck = RnnLayer("rnn", spec.rnn_kind, groups)
@@ -479,12 +478,30 @@ def _spec_from_manifest(m: dict) -> ModelSpec:
     )
 
 
+def _read_manifest(path, manifest):
+    """Build the declared graph and list each layer's ``(name, [(field, shape)])``."""
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest is a JSON {type(manifest).__name__}, not an object")
+    if manifest.get("format") != BUNDLE_FORMAT:
+        raise ValueError(f"{path}: unsupported bundle format {manifest.get('format')!r}")
+    try:
+        graph = build_model(_spec_from_manifest(manifest))
+        declared = [
+            (entry["name"], [(a["field"], tuple(a["shape"])) for a in entry["arrays"]])
+            for entry in manifest["layers"]
+        ]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from exc
+    return graph, declared
+
+
 def load_weights(path) -> ModelGraph:
     """Read a weight bundle back into an executable graph.
 
     Raises:
-        ValueError: on bad magic, manifest/graph disagreement, or a blob whose
-            size does not match the declared parameter count.
+        ValueError: on bad magic, a malformed manifest or one that disagrees
+            with the graph it declares, a blob whose size does not match the
+            declared parameter count, or a non-finite parameter.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -498,12 +515,9 @@ def load_weights(path) -> ModelGraph:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt manifest: {exc}") from exc
     off += mlen
-    if manifest.get("format") != BUNDLE_FORMAT:
-        raise ValueError(f"{path}: unsupported bundle format {manifest.get('format')!r}")
 
-    graph = build_model(_spec_from_manifest(manifest))
+    graph, declared = _read_manifest(path, manifest)
     built = list(graph.iter_layers())
-    declared = manifest["layers"]
     if len(built) != len(declared):
         raise ValueError(
             f"{path}: manifest lists {len(declared)} layers, model has {len(built)}"
@@ -518,20 +532,22 @@ def load_weights(path) -> ModelGraph:
         )
 
     pos = 0
-    for layer, entry in zip(built, declared):
+    for layer, (name, fields) in zip(built, declared):
         arrays = layer.param_arrays()
-        if entry["name"] != layer.name or len(entry["arrays"]) != len(arrays):
-            raise ValueError(f"{path}: manifest layer {entry['name']!r} does not match model")
-        for (fname, arr), decl in zip(arrays, entry["arrays"]):
-            if decl["field"] != fname or tuple(decl["shape"]) != arr.shape:
+        if name != layer.name or len(fields) != len(arrays):
+            raise ValueError(f"{path}: manifest layer {name!r} does not match model")
+        for (fname, arr), (decl_field, decl_shape) in zip(arrays, fields):
+            if decl_field != fname or decl_shape != arr.shape:
                 raise ValueError(
                     f"{path}: layer {layer.name!r} field {fname!r}: manifest shape "
-                    f"{decl['shape']} does not match model shape {list(arr.shape)}"
+                    f"{list(decl_shape)} does not match model shape {list(arr.shape)}"
                 )
             n = arr.size * 4
             arr[...] = (
                 np.frombuffer(blob[pos : pos + n], dtype="<f4").astype(np.float64).reshape(arr.shape)
             )
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: layer {layer.name!r} field {fname!r} has non-finite values")
             pos += n
     return graph
 
@@ -550,38 +566,38 @@ class StreamState:
         self.layer_states = {}
         for layer in graph.iter_layers():
             if isinstance(layer, RnnLayer):
-                if layer.kind == "gru":
-                    self.layer_states[layer.name] = [
-                        [np.zeros(cell.width) for cell in stack] for stack in layer.groups
-                    ]
-                else:
-                    self.layer_states[layer.name] = [
-                        [(np.zeros(cell.width), np.zeros(cell.width)) for cell in stack]
-                        for stack in layer.groups
-                    ]
+                self.layer_states[layer.name] = [
+                    [[np.zeros(cell.width) for _ in range(layer.carried)] for cell in stack]
+                    for stack in layer.groups
+                ]
             elif isinstance(layer, (ConvLayer, TconvLayer)):
                 self.layer_states[layer.name] = None  # lazily zero-initialized
 
 
-def create_state(graph: ModelGraph) -> StreamState:
-    return StreamState(graph)
+def rnn_block_step(layer: RnnLayer, x: np.ndarray, states) -> np.ndarray:
+    """Step a grouped recurrent block over one frame; returns its output.
 
+    The input is split into P equal contiguous chunks, and group g runs its
+    own stack of N cells over chunk g; the group outputs are concatenated in
+    order.  This equals a stack of N cells whose gate matrices are
+    block-diagonal with the P group matrices (``cruse selftest`` checks it).
 
-def _rnn_block_step(layer: RnnLayer, x: np.ndarray, states):
+    ``states[g][n]`` is the list of vectors cell n of group g carries,
+    ``[h]`` for a GRU and ``[h, c]`` for an LSTM; it is advanced in place.
+
+    Raises:
+        ValueError: when the input length is not divisible by P.
+    """
     p = len(layer.groups)
     if x.shape[0] % p:
         raise ValueError(f"bottleneck width {x.shape[0]} not divisible by {p} groups")
     chunk = x.shape[0] // p
+    step = gru_step if layer.kind == "gru" else lstm_step
     outs = []
-    for g, stack in enumerate(layer.groups):
+    for g, (stack, carried) in enumerate(zip(layer.groups, states)):
         y = x[g * chunk : (g + 1) * chunk]
-        for n, cell in enumerate(stack):
-            if layer.kind == "gru":
-                y, states[g][n] = gru_step(cell, y, states[g][n])
-            else:
-                h, c = states[g][n]
-                y, h, c = lstm_step(cell, y, h, c)
-                states[g][n] = (h, c)
+        for cell, vectors in zip(stack, carried):
+            y, *vectors[:] = step(cell, y, *vectors)
         outs.append(y)
     return np.concatenate(outs)
 
@@ -604,7 +620,7 @@ def infer_frame(graph: ModelGraph, state: StreamState, features: np.ndarray) -> 
             if isinstance(layer, FcLayer):
                 x = activation_apply(layer.activation, fc_forward(layer.weight, layer.bias, x))
             else:
-                x = _rnn_block_step(layer, x, ls[layer.name])
+                x = rnn_block_step(layer, x, ls[layer.name])
         return x
 
     x = features[None, :]  # 1 input channel
@@ -615,7 +631,7 @@ def infer_frame(graph: ModelGraph, state: StreamState, features: np.ndarray) -> 
         enc_outs.append(x)
 
     flat = x.reshape(-1)  # channel-major
-    flat = _rnn_block_step(graph.bottleneck, flat, ls[graph.bottleneck.name])
+    flat = rnn_block_step(graph.bottleneck, flat, ls[graph.bottleneck.name])
     x = flat.reshape(x.shape)
 
     for j, layer in enumerate(graph.decoder):
@@ -634,7 +650,7 @@ def infer_utterance(graph: ModelGraph, features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError(f"expected (frames, bins) features, got shape {features.shape}")
-    state = create_state(graph)
+    state = StreamState(graph)
     gains = np.empty_like(features)
     for n in range(features.shape[0]):
         gains[n] = infer_frame(graph, state, features[n])

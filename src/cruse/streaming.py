@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import DEFAULT_LOG_FLOOR, StftConfig, make_window
-from .models import ModelGraph, create_state, infer_frame
-
-_ENVELOPE_EPS = 1e-12
+from .dsp import StftConfig, log_power_features, make_window, normalize_overlap_add
+from .models import ModelGraph, StreamState, infer_frame
 
 
 @dataclass
@@ -23,11 +21,12 @@ class EnhanceStats:
     frames: int
     mean_frame_ms: float
     max_frame_ms: float
+    hop_ms: float
 
     @property
     def realtime_factor(self) -> float:
-        """Processing time per 10 ms hop relative to real time (< 1 is faster)."""
-        return self.mean_frame_ms / 10.0
+        """Mean processing time per hop over the hop duration (< 1 is faster)."""
+        return self.mean_frame_ms / self.hop_ms
 
 
 class StreamingEnhancer:
@@ -43,12 +42,13 @@ class StreamingEnhancer:
         self.config = config
         self.window = make_window(config.window_len)
         self._wsq = self.window * self.window
-        self.state = create_state(graph)
+        self.state = StreamState(graph)
         self._input = np.zeros(config.window_len)   # head pad: starts as zeros
         self._acc = np.zeros(config.window_len)
         self._env = np.zeros(config.window_len)
         self._frames = 0
-        self.frame_times: list[float] = []
+        self._busy_s = 0.0   # summed and worst process_hop wall time
+        self._worst_s = 0.0
 
     def process_hop(self, hop_samples: np.ndarray) -> np.ndarray:
         """Consume exactly one hop of input, emit one hop of enhanced output.
@@ -67,15 +67,12 @@ class StreamingEnhancer:
         self._input[-cfg.hop_len :] = hop_samples
 
         spec = np.fft.rfft(self._input * self.window, n=cfg.fft_len)
-        feats = np.log(np.maximum(np.abs(spec) ** 2, DEFAULT_LOG_FLOOR))
-        gains = infer_frame(self.graph, self.state, feats)
+        gains = infer_frame(self.graph, self.state, log_power_features(spec))
         frame = np.fft.irfft(spec * gains, n=cfg.fft_len)[: cfg.window_len] * self.window
 
         self._acc += frame
         self._env += self._wsq
-        ready = self._acc[: cfg.hop_len]
-        env = self._env[: cfg.hop_len]
-        out = np.where(env > _ENVELOPE_EPS, ready / np.maximum(env, _ENVELOPE_EPS), 0.0)
+        out = self.flush()  # the oldest hop has received all its overlaps
 
         self._acc[: -cfg.hop_len] = self._acc[cfg.hop_len :]
         self._acc[-cfg.hop_len :] = 0.0
@@ -83,24 +80,23 @@ class StreamingEnhancer:
         self._env[-cfg.hop_len :] = 0.0
 
         self._frames += 1
-        self.frame_times.append(time.perf_counter() - started)
+        elapsed = time.perf_counter() - started
+        self._busy_s += elapsed
+        self._worst_s = max(self._worst_s, elapsed)
         return out
 
     def flush(self) -> np.ndarray:
         """Emit the final partially overlapped hop after the last input hop."""
-        cfg = self.config
-        ready = self._acc[: cfg.hop_len]
-        env = self._env[: cfg.hop_len]
-        return np.where(env > _ENVELOPE_EPS, ready / np.maximum(env, _ENVELOPE_EPS), 0.0)
+        hop = self.config.hop_len
+        return normalize_overlap_add(self._acc[:hop], self._env[:hop])
 
     def stats(self) -> EnhanceStats:
-        times = np.asarray(self.frame_times)
-        if times.size == 0:
-            return EnhanceStats(0, 0.0, 0.0)
+        mean_s = self._busy_s / self._frames if self._frames else 0.0
         return EnhanceStats(
-            frames=int(times.size),
-            mean_frame_ms=float(times.mean() * 1e3),
-            max_frame_ms=float(times.max() * 1e3),
+            frames=self._frames,
+            mean_frame_ms=mean_s * 1e3,
+            max_frame_ms=self._worst_s * 1e3,
+            hop_ms=self.config.hop_ms,
         )
 
 

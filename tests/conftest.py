@@ -1,4 +1,7 @@
-"""Shared fixtures: synthetic audio assets and a manifest for datagen tests."""
+"""Shared fixtures: synthetic audio assets and a manifest for datagen tests,
+and malformed weight bundles."""
+
+import json
 
 import numpy as np
 import pytest
@@ -75,3 +78,41 @@ def asset_store(asset_dir):
     from cruse.datagen import AssetStore
 
     return AssetStore.from_manifest(asset_dir / "manifest.csv")
+
+
+def _bundle_parts(path):
+    from cruse.models import BUNDLE_MAGIC
+
+    raw = path.read_bytes()
+    off = len(BUNDLE_MAGIC)
+    mlen = int.from_bytes(raw[off : off + 4], "little")
+    return json.loads(raw[off + 4 : off + 4 + mlen].decode()), raw[off + 4 + mlen :]
+
+
+def _write_bundle(path, manifest, blob):
+    from cruse.models import BUNDLE_MAGIC
+
+    text = json.dumps(manifest).encode()
+    path.write_bytes(BUNDLE_MAGIC + len(text).to_bytes(4, "little") + text + blob)
+
+
+@pytest.fixture(params=["no-spec", "no-kernel", "list-manifest", "nan-weight", "inf-weight"])
+def malformed_bundle(request, tmp_path):
+    """A weight bundle with one schema or value defect that loading must reject."""
+    from cruse.models import build_model, init_test_weights, nsnet2_spec, save_weights
+
+    path = tmp_path / f"{request.param}.cwb"
+    save_weights(init_test_weights(build_model(nsnet2_spec(16)), 1), path)
+    manifest, blob = _bundle_parts(path)
+    if request.param == "no-spec":
+        del manifest["spec"]
+    elif request.param == "no-kernel":
+        del manifest["spec"]["kernel"]
+    elif request.param == "list-manifest":
+        manifest = [manifest]
+    else:
+        params = np.frombuffer(blob, dtype="<f4").copy()
+        params[10] = np.nan if request.param == "nan-weight" else np.inf
+        blob = params.tobytes()
+    _write_bundle(path, manifest, blob)
+    return path

@@ -8,14 +8,14 @@ import time
 
 import numpy as np
 
+from cruse.cli import SELFTEST_CHECKS
 from cruse.datagen import sample_recipe, shape_rir
 from cruse.dsp import StftConfig, istft, make_window, stft
-from cruse.layers import GruWeights, gru_step, parallel_rnn_step, zero_gru_weights
 from cruse.macs import macs_gru, macs_lstm, macs_model
 from cruse.metrics import level_normalize_pair, loss_ccmse, si_sdr, training_loss
 from cruse.models import (
+    StreamState,
     build_model,
-    create_state,
     cruse_spec,
     infer_frame,
     infer_utterance,
@@ -110,42 +110,19 @@ def test_criterion_05_streaming_equivalence():
     worst = 0.0
     for name in ("NSnet2-400", "CRUSE4-128-1xGRU4"):
         graph = init_test_weights(build_model(parse_model_name(name)), 1234)
-        state = create_state(graph)
+        state = StreamState(graph)
         streamed = np.stack([infer_frame(graph, state, f) for f in feats])
         batch = infer_utterance(graph, feats)
         worst = max(worst, float(np.max(np.abs(streamed - batch))))
     assert worst <= 1e-6
 
-    # block-diagonal GRU equivalence
-    p, chunk = 4, 8
-    width = p * chunk
-    groups = [
-        GruWeights(
-            rng.standard_normal((3 * chunk, chunk)), rng.standard_normal((3 * chunk, chunk)),
-            rng.standard_normal(3 * chunk), rng.standard_normal(3 * chunk),
-        )
-        for _ in range(p)
-    ]
-    big = zero_gru_weights(width, width)
-    for g, cell in enumerate(groups):
-        lo = g * chunk
-        for gate in range(3):
-            rows = slice(gate * width + lo, gate * width + lo + chunk)
-            cell_rows = slice(gate * chunk, (gate + 1) * chunk)
-            big.w_input[rows, lo : lo + chunk] = cell.w_input[cell_rows]
-            big.w_hidden[rows, lo : lo + chunk] = cell.w_hidden[cell_rows]
-            big.b_input[rows] = cell.b_input[cell_rows]
-            big.b_hidden[rows] = cell.b_hidden[cell_rows]
-    x = rng.standard_normal(width)
-    h = rng.standard_normal(width)
-    grouped, _ = parallel_rnn_step(groups, x, [h[g * chunk : (g + 1) * chunk] for g in range(p)])
-    full, _ = gru_step(big, x, h)
-    block_err = float(np.max(np.abs(grouped - full)))
-    assert block_err <= 1e-6
+    # block-diagonal GRU equivalence, as checked by `cruse selftest` (max diff < 1e-6)
+    block_ok, block_detail = dict(SELFTEST_CHECKS)["block-diagonal-gru-equivalence"]()
+    assert block_ok, block_detail
 
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
-    _report(5, f"streaming-vs-batch max diff {worst:.2e}, block-diagonal {block_err:.2e}, "
+    _report(5, f"streaming-vs-batch max diff {worst:.2e}, block-diagonal: {block_detail}, "
                f"{elapsed:.2f} s")
 
 
@@ -204,7 +181,7 @@ def test_criterion_09_latency_budget():
     feats = rng.standard_normal(161)
 
     def frame_times(graph, frames=200):
-        state = create_state(graph)
+        state = StreamState(graph)
         for _ in range(20):
             infer_frame(graph, state, feats)
         times = np.empty(frames)

@@ -60,6 +60,16 @@ def test_enhance_with_bundle(tmp_path, capsys):
     assert "test weights" not in err
 
 
+def test_enhance_rejects_malformed_bundle(tmp_path, capsys, malformed_bundle):
+    src = tmp_path / "in.wav"
+    dst = tmp_path / "out.wav"
+    write_wav(src, np.zeros(SR // 10), SR)
+    code, _, err = run(capsys, "enhance", str(src), str(dst), "--bundle", str(malformed_bundle))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not dst.exists()
+
+
 def test_enhance_rejects_wrong_sample_rate(tmp_path, capsys):
     src = tmp_path / "in8k.wav"
     write_wav(src, np.zeros(8000), 8000)

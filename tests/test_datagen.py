@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -241,6 +242,18 @@ def test_sample_recipe_deterministic(asset_store):
     a = [sample_recipe(np.random.default_rng(7), asset_store) for _ in range(10)]
     b = [sample_recipe(np.random.default_rng(7), asset_store) for _ in range(10)]
     assert a == b
+
+
+# SHA-256 of the JSON lines of 1,000 recipes drawn from default_rng(2021) over
+# the conftest assets.  Pins the order of the random draws in sample_recipe:
+# any reordering changes the recipes and therefore the digest.
+RECIPES_2021_SHA256 = "fb547da61ab8a4eea8312c502d7fa5a7bfa83891308bae887542b828805900cb"
+
+
+def test_sample_recipe_draw_order_is_pinned(asset_store):
+    rng = np.random.default_rng(2021)
+    lines = "\n".join(sample_recipe(rng, asset_store).to_json() for _ in range(1000))
+    assert hashlib.sha256(lines.encode()).hexdigest() == RECIPES_2021_SHA256
 
 
 def test_recipe_json_round_trip(asset_store):

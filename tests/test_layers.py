@@ -4,37 +4,36 @@ import numpy as np
 import pytest
 
 from cruse.layers import (
-    GruWeights,
-    LstmWeights,
+    GRU_GATES,
+    LSTM_GATES,
+    RnnWeights,
     activation_apply,
     conv2d_step,
     fc_forward,
     gru_step,
     lstm_step,
-    parallel_rnn_step,
     skip_combine,
     tconv2d_step,
-    zero_gru_weights,
-    zero_lstm_weights,
+    zero_rnn_weights,
 )
+from cruse.models import RnnLayer, rnn_block_step
+
+
+def random_cell(rng, gates, in_dims, width):
+    return RnnWeights(
+        rng.standard_normal((gates * width, in_dims)),
+        rng.standard_normal((gates * width, width)),
+        rng.standard_normal(gates * width),
+        rng.standard_normal(gates * width),
+    )
 
 
 def random_gru(rng, in_dims, width):
-    return GruWeights(
-        rng.standard_normal((3 * width, in_dims)),
-        rng.standard_normal((3 * width, width)),
-        rng.standard_normal(3 * width),
-        rng.standard_normal(3 * width),
-    )
+    return random_cell(rng, GRU_GATES, in_dims, width)
 
 
 def random_lstm(rng, in_dims, width):
-    return LstmWeights(
-        rng.standard_normal((4 * width, in_dims)),
-        rng.standard_normal((4 * width, width)),
-        rng.standard_normal(4 * width),
-        rng.standard_normal(4 * width),
-    )
+    return random_cell(rng, LSTM_GATES, in_dims, width)
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +150,14 @@ def test_fc_shape_mismatch():
 
 
 def test_gru_zero_weights_gives_zero_state():
-    w = zero_gru_weights(3, 4)
+    w = zero_rnn_weights(GRU_GATES, 3, 4)
     y, h = gru_step(w, np.ones(3), np.zeros(4))
     np.testing.assert_array_equal(y, np.zeros(4))
     np.testing.assert_array_equal(h, np.zeros(4))
 
 
 def test_gru_saturated_update_gate_passes_memory():
-    w = zero_gru_weights(3, 4)
+    w = zero_rnn_weights(GRU_GATES, 3, 4)
     w.b_input[4:8] = 60.0  # z rows saturate to 1
     h0 = np.array([0.3, -0.7, 1.5, 0.01])
     _, h = gru_step(w, np.zeros(3), h0)
@@ -177,18 +176,18 @@ def test_gru_matches_scalar_oracle():
 
 def test_gru_shape_mismatch():
     with pytest.raises(ValueError):
-        gru_step(zero_gru_weights(3, 4), np.zeros(5), np.zeros(4))
+        gru_step(zero_rnn_weights(GRU_GATES, 3, 4), np.zeros(5), np.zeros(4))
 
 
 def test_lstm_zero_weights_gives_zero_state():
-    w = zero_lstm_weights(3, 4)
+    w = zero_rnn_weights(LSTM_GATES, 3, 4)
     y, h, c = lstm_step(w, np.ones(3), np.zeros(4), np.zeros(4))
     np.testing.assert_array_equal(h, np.zeros(4))
     np.testing.assert_array_equal(c, np.zeros(4))
 
 
 def test_lstm_gate_limits_preserve_cell():
-    w = zero_lstm_weights(2, 3)
+    w = zero_rnn_weights(LSTM_GATES, 2, 3)
     w.b_input[3:6] = 60.0   # forget gate -> 1
     w.b_input[0:3] = -60.0  # input gate -> 0
     c0 = np.array([0.5, -1.0, 2.0])
@@ -334,46 +333,24 @@ def test_parallel_rnn_single_group_is_plain_gru():
     w = random_gru(rng, 6, 6)
     x = rng.standard_normal(6)
     h = rng.standard_normal(6)
-    y_grouped, _ = parallel_rnn_step([w], x, [h])
+    y_grouped = rnn_block_step(RnnLayer("rnn", "gru", [[w]]), x, [[[h]]])
     y_plain, _ = gru_step(w, x, h)
     np.testing.assert_array_equal(y_grouped, y_plain)
 
 
 def test_parallel_rnn_zero_group_outputs_zero():
     rng = np.random.default_rng(9)
-    groups = [random_gru(rng, 3, 3), zero_gru_weights(3, 3)]
-    y, _ = parallel_rnn_step(groups, rng.standard_normal(6), [np.zeros(3), np.zeros(3)])
+    layer = RnnLayer("rnn", "gru", [[random_gru(rng, 3, 3)], [zero_rnn_weights(GRU_GATES, 3, 3)]])
+    y = rnn_block_step(layer, rng.standard_normal(6), [[[np.zeros(3)]], [[np.zeros(3)]]])
     np.testing.assert_array_equal(y[3:], np.zeros(3))
     assert np.any(y[:3] != 0)
 
 
-def test_parallel_rnn_equals_block_diagonal_gru():
-    rng = np.random.default_rng(10)
-    p, chunk = 4, 5
-    width = p * chunk
-    groups = [random_gru(rng, chunk, chunk) for _ in range(p)]
-    big = zero_gru_weights(width, width)
-    for g, cell in enumerate(groups):
-        lo = g * chunk
-        for gate in range(3):
-            rows = slice(gate * width + lo, gate * width + lo + chunk)
-            cell_rows = slice(gate * chunk, (gate + 1) * chunk)
-            big.w_input[rows, lo : lo + chunk] = cell.w_input[cell_rows]
-            big.w_hidden[rows, lo : lo + chunk] = cell.w_hidden[cell_rows]
-            big.b_input[rows] = cell.b_input[cell_rows]
-            big.b_hidden[rows] = cell.b_hidden[cell_rows]
-    x = rng.standard_normal(width)
-    h = rng.standard_normal(width)
-    y_grouped, _ = parallel_rnn_step(groups, x, [h[g * chunk : (g + 1) * chunk] for g in range(p)])
-    y_full, _ = gru_step(big, x, h)
-    np.testing.assert_allclose(y_grouped, y_full, atol=1e-6)
-
-
 def test_parallel_rnn_indivisible_length_errors():
     rng = np.random.default_rng(11)
-    groups = [random_gru(rng, 2, 2)] * 3
+    layer = RnnLayer("rnn", "gru", [[random_gru(rng, 2, 2)]] * 3)
     with pytest.raises(ValueError):
-        parallel_rnn_step(groups, np.zeros(7), [np.zeros(2)] * 3)
+        rnn_block_step(layer, np.zeros(7), [[[np.zeros(2)]]] * 3)
 
 
 def test_skip_combine_variants():

@@ -9,9 +9,9 @@ from cruse.models import (
     LCG_MULT,
     FcLayer,
     RnnLayer,
+    StreamState,
     build_model,
     conv_freq_sizes,
-    create_state,
     cruse_spec,
     format_model_name,
     infer_frame,
@@ -207,6 +207,11 @@ def test_bundle_bad_magic_errors(tmp_path):
         load_weights(path)
 
 
+def test_bundle_malformed_manifest_or_non_finite_weight_errors(malformed_bundle):
+    with pytest.raises(ValueError, match="malformed manifest|not an object|non-finite"):
+        load_weights(malformed_bundle)
+
+
 # ---------------------------------------------------------------------------
 # inference
 
@@ -214,7 +219,7 @@ def test_bundle_bad_magic_errors(tmp_path):
 @pytest.mark.parametrize("name", ["NSnet2-32", "CRUSE4-32-1xGRU2"])
 def test_zero_weights_give_half_gains(name):
     graph = build_model(parse_model_name(name))
-    state = create_state(graph)
+    state = StreamState(graph)
     gains = infer_frame(graph, state, np.random.default_rng(0).standard_normal(161))
     np.testing.assert_array_equal(gains, np.full(161, 0.5))
 
@@ -230,7 +235,7 @@ def test_gains_strictly_inside_unit_interval(name):
 
 def test_repeated_frame_converges_to_fixed_point():
     graph = init_test_weights(build_model(parse_model_name("CRUSE4-64-1xGRU2")), 9)
-    state = create_state(graph)
+    state = StreamState(graph)
     frame = np.random.default_rng(2).standard_normal(161)
     prev = infer_frame(graph, state, frame)
     diffs = []
@@ -246,7 +251,7 @@ def test_repeated_frame_converges_to_fixed_point():
 def test_utterance_equals_streaming_loop():
     graph = init_test_weights(build_model(parse_model_name("CRUSE4-64-1xGRU2")), 11)
     feats = np.random.default_rng(3).standard_normal((25, 161))
-    state = create_state(graph)
+    state = StreamState(graph)
     streamed = np.stack([infer_frame(graph, state, f) for f in feats])
     np.testing.assert_array_equal(infer_utterance(graph, feats), streamed)
 
@@ -254,7 +259,7 @@ def test_utterance_equals_streaming_loop():
 def test_single_frame_utterance():
     graph = init_test_weights(build_model(nsnet2_spec(32)), 4)
     feats = np.random.default_rng(4).standard_normal((1, 161))
-    one = infer_frame(graph, create_state(graph), feats[0])
+    one = infer_frame(graph, StreamState(graph), feats[0])
     np.testing.assert_array_equal(infer_utterance(graph, feats), one[None, :])
 
 
@@ -267,7 +272,7 @@ def test_empty_utterance():
 def test_feature_shape_validation():
     graph = build_model(nsnet2_spec(16))
     with pytest.raises(ValueError):
-        infer_frame(graph, create_state(graph), np.zeros(100))
+        infer_frame(graph, StreamState(graph), np.zeros(100))
 
 
 def test_causality_under_perturbation():

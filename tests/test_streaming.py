@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from cruse.dsp import StftConfig, apply_gain, istft, log_power_features, stft
-from cruse.models import build_model, cruse_spec, infer_utterance, init_test_weights, parse_model_name
+from cruse.models import (
+    build_model,
+    cruse_spec,
+    infer_utterance,
+    init_test_weights,
+    nsnet2_spec,
+    parse_model_name,
+)
 from cruse.streaming import StreamingEnhancer, enhance_signal
 
 CFG = StftConfig()
@@ -48,3 +55,20 @@ def test_process_hop_validates_length():
     engine = StreamingEnhancer(graph, CFG)
     with pytest.raises(ValueError):
         engine.process_hop(np.zeros(100))
+
+
+def test_stats_use_the_configured_hop():
+    cfg = StftConfig(window_len=640, hop_len=320, fft_len=640)  # 20 ms hop, 321 bins
+    graph = init_test_weights(build_model(nsnet2_spec(16, num_bins=321)), 24)
+    x = 0.1 * np.random.default_rng(2).standard_normal(3200)
+    _, stats = enhance_signal(graph, x, cfg)
+    assert stats.frames == 10
+    assert stats.realtime_factor == stats.mean_frame_ms / 20
+    assert stats.hop_ms == 20.0
+    assert 0 < stats.mean_frame_ms <= stats.max_frame_ms
+
+
+def test_stats_before_any_hop_are_zero():
+    stats = StreamingEnhancer(build_model(parse_model_name("NSnet2-16")), CFG).stats()
+    assert (stats.frames, stats.mean_frame_ms, stats.max_frame_ms) == (0, 0.0, 0.0)
+    assert stats.realtime_factor == 0.0

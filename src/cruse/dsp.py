@@ -121,12 +121,15 @@ def istft(spec: np.ndarray, config: StftConfig = StftConfig()) -> np.ndarray:
     total = (frames - 1) * hop + wlen
 
     segments = np.fft.irfft(spec, n=config.fft_len, axis=1)[:, :wlen] * window
+    # hop == wlen / 2: each frame's first half lands on hop f, its second on
+    # hop f + 1, so the overlap-add is two slice adds
     acc = np.zeros(total)
-    env = np.zeros(total)
+    acc[:-hop] += segments[:, :hop].reshape(-1)
+    acc[hop:] += segments[:, hop:].reshape(-1)
     wsq = window * window
-    for f in range(frames):
-        acc[f * hop : f * hop + wlen] += segments[f]
-        env[f * hop : f * hop + wlen] += wsq
+    env = np.zeros(total)
+    env[:-hop] += np.tile(wsq[:hop], frames)
+    env[hop:] += np.tile(wsq[hop:], frames)
 
     out = normalize_overlap_add(acc, env)
     return out[config.head_pad : config.head_pad + frames * hop]

@@ -1,10 +1,12 @@
 """Layer primitives with explicit streaming state.
 
-Every operation here processes one frame at a time; recurrent layers carry
-their hidden vectors, causal convolutions a short input history, and
-transposed convolutions a pending future-tap contribution.  Processing an
-utterance frame by frame through these primitives is numerically equivalent
-to the corresponding whole-utterance computation.
+Every operation here processes one frame, or a block of consecutive frames
+along an optional leading axis; a single frame keeps its own shape.
+Recurrent layers carry their hidden vectors, causal convolutions a short
+input history, and transposed convolutions a pending future-tap
+contribution, so consecutive blocks of any length, frames included, compute
+the same whole-utterance result up to rounding.  Within a block only the
+recurrent matmul runs frame by frame; everything else is one matmul.
 
 Weight conventions (recorded in saved weight bundles):
   * matrices are row-major ``(out, in)``
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import expit
 
 LEAKY_RELU_SLOPE = 0.2
@@ -59,86 +62,130 @@ def zero_rnn_weights(gates: int, in_dims: int, width: int) -> RnnWeights:
 
 
 def fc_forward(weight: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Affine layer ``W @ x + b`` (activation applied separately)."""
-    if weight.shape[1] != x.shape[0]:
-        raise ValueError(f"weight shape {weight.shape} does not match input of {x.shape[0]}")
-    return weight @ x + bias
+    """Affine layer ``W @ x + b`` over the last axis of ``(..., in)``.
+
+    The activation is applied separately.
+    """
+    if weight.shape[1] != x.shape[-1]:
+        raise ValueError(f"weight shape {weight.shape} does not match input of {x.shape[-1]}")
+    return x @ weight.T + bias
+
+
+def _frames(x: np.ndarray, frame_ndim: int) -> np.ndarray:
+    # A block of frames, adding the leading frame axis to a single frame.
+    return x[None] if x.ndim == frame_ndim else x
 
 
 def gru_step(weights: RnnWeights, x: np.ndarray, h: np.ndarray):
-    """One GRU update; returns ``(y, h_new)`` with ``y = h_new``."""
+    """GRU updates over one frame ``(in,)`` or a block ``(T, in)``.
+
+    The input projection of the whole block is one matmul; only the
+    recurrent matmul runs frame by frame.  Returns ``(y, h_last)``, where y
+    has the input's leading shape, ``(w,)`` or ``(T, w)``.
+    """
     w = weights.width
-    if x.shape[0] != weights.in_dims or h.shape[0] != w:
+    frames = _frames(x, 1)
+    if frames.ndim != 2 or frames.shape[1] != weights.in_dims or h.shape != (w,):
         raise ValueError(
             f"gru_step expects input {weights.in_dims} and state {w}, "
-            f"got {x.shape[0]} and {h.shape[0]}"
+            f"got {x.shape} and {h.shape}"
         )
-    gi = weights.w_input @ x + weights.b_input
-    gh = weights.w_hidden @ h + weights.b_hidden
-    r = expit(gi[:w] + gh[:w])
-    z = expit(gi[w : 2 * w] + gh[w : 2 * w])
-    n = np.tanh(gi[2 * w :] + r * gh[2 * w :])
-    h_new = (1.0 - z) * n + z * h
-    return h_new, h_new
+    gi = frames @ weights.w_input.T + weights.b_input
+    ys = np.empty((len(frames), w))
+    for t, g in enumerate(gi):
+        gh = weights.w_hidden @ h + weights.b_hidden
+        rz = expit(g[: 2 * w] + gh[: 2 * w])
+        n = np.tanh(g[2 * w :] + rz[:w] * gh[2 * w :])
+        z = rz[w:]
+        h = ys[t] = (1.0 - z) * n + z * h
+    return (ys if x.ndim == 2 else ys[0]), h
 
 
 def lstm_step(weights: RnnWeights, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """One LSTM update; returns ``(y, h_new, c_new)`` with ``y = h_new``."""
+    """LSTM updates over one frame ``(in,)`` or a block ``(T, in)``.
+
+    As :func:`gru_step`; returns ``(y, h_last, c_last)``.
+    """
     w = weights.width
-    if x.shape[0] != weights.in_dims or h.shape[0] != w or c.shape[0] != w:
+    frames = _frames(x, 1)
+    if frames.ndim != 2 or frames.shape[1] != weights.in_dims or h.shape != (w,) or c.shape != (w,):
         raise ValueError(
             f"lstm_step expects input {weights.in_dims} and state {w}, "
-            f"got {x.shape[0]}, {h.shape[0]}, {c.shape[0]}"
+            f"got {x.shape}, {h.shape}, {c.shape}"
         )
-    gates = weights.w_input @ x + weights.b_input + weights.w_hidden @ h + weights.b_hidden
-    i = expit(gates[:w])
-    f = expit(gates[w : 2 * w])
-    g = np.tanh(gates[2 * w : 3 * w])
-    o = expit(gates[3 * w :])
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return h_new, h_new, c_new
+    gi = frames @ weights.w_input.T + weights.b_input
+    ys = np.empty((len(frames), w))
+    for t, g in enumerate(gi):
+        gates = g + weights.w_hidden @ h + weights.b_hidden
+        i_f = expit(gates[: 2 * w])
+        c = i_f[w:] * c + i_f[:w] * np.tanh(gates[2 * w : 3 * w])
+        h = ys[t] = expit(gates[3 * w :]) * np.tanh(c)
+    return (ys if x.ndim == 2 else ys[0]), h, c
 
 
 def conv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state=None):
-    """Causal 2-D convolution evaluated at the current frame.
+    """Causal 2-D convolution evaluated at one frame or a block of frames.
 
     Time taps cover the stored previous frame(s) plus the current one; the
     frequency axis is zero-padded by 1 on each side and strided by 2, so an
-    input of width F yields ``(F - 1) // 2 + 1`` outputs.
+    input of width F yields ``(F - 1) // 2 + 1`` outputs.  A block is one
+    patch gather and one matmul.
 
     Args:
         weight: ``(c_out, c_in, kernel_t, kernel_f)`` with kernel_t in {1, 2}.
         bias: ``(c_out,)``.
-        x_now: current input frame, ``(c_in, freq)``.
+        x_now: one input frame ``(c_in, freq)`` or a block ``(T, c_in, freq)``.
         state: ``(kernel_t - 1, c_in, freq)`` history, or None at stream start.
 
     Returns:
-        ``(out, new_state)`` where out is ``(c_out, freq_out)``.
+        ``(out, new_state)`` where out is ``(c_out, freq_out)`` for one frame
+        and ``(T, c_out, freq_out)`` for a block.
     """
     c_out, c_in, kt, kf = weight.shape
-    if x_now.ndim != 2 or x_now.shape[0] != c_in:
-        raise ValueError(f"expected input of ({c_in}, F), got {x_now.shape}")
-    freq = x_now.shape[1]
-    if state is None:
-        state = np.zeros((kt - 1, c_in, freq))
-    hist = np.concatenate([state, x_now[None, :, :]], axis=0)
-    padded = np.zeros((kt, c_in, freq + 2))
-    padded[:, :, 1:-1] = hist
+    frames = _frames(x_now, 2)
+    if frames.ndim != 3 or frames.shape[1] != c_in:
+        raise ValueError(f"expected input of ({c_in}, F) or (T, {c_in}, F), got {x_now.shape}")
+    t_len, _, freq = frames.shape
+    padded = np.zeros((kt - 1 + t_len, c_in, freq + 2))
+    if state is not None:
+        padded[: kt - 1, :, 1:-1] = state
+    padded[kt - 1 :, :, 1:-1] = frames
     f_out = (freq - 1) // 2 + 1
-    # gather strided patches so the whole frame is one matmul
-    patches = np.empty((c_in, kt, kf, f_out))
-    for t in range(kt):
-        for k in range(kf):
-            patches[:, t, k, :] = padded[t, :, k : k + 2 * f_out : 2]
-    out = weight.reshape(c_out, -1) @ patches.reshape(-1, f_out) + bias[:, None]
-    return out, hist[1:]
+    # every strided patch, as columns (c_in, kt, kf) x (T, f_out)
+    s_t, s_c, s_f = padded.strides
+    patches = as_strided(
+        padded, (c_in, kt, kf, t_len, f_out), (s_c, s_t, s_f, s_t, 2 * s_f), writeable=False
+    ).reshape(c_in * kt * kf, t_len * f_out)
+    out = weight.reshape(c_out, -1) @ patches + bias[:, None]
+    out = out.reshape(c_out, t_len, f_out).transpose(1, 0, 2)
+    # copied, so that the state does not keep the whole block alive
+    return (out if x_now.ndim == 3 else out[0]), padded[t_len:, :, 1:-1].copy()
 
 
-def _tconv_freq(w_tap: np.ndarray, x: np.ndarray, f_target: int) -> np.ndarray:
-    # Transposed convolution along frequency, stride 2, cropped to f_target.
-    c_out, _, kf = w_tap.shape
-    f_in = x.shape[1]
+def tconv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state, f_target: int):
+    """Streaming transposed 2-D convolution (frequency upsampling by 2).
+
+    The time kernel of 2 is realized causally: each emitted frame adds the
+    second time tap of the previous input frame, and the second tap of the
+    last input frame is returned as the state.  All taps of a block are one
+    matmul.
+
+    Args:
+        weight: ``(c_out, c_in, kernel_t, kernel_f)``.
+        bias: ``(c_out,)``.
+        x_now: one input frame ``(c_in, freq)`` or a block ``(T, c_in, freq)``.
+        state: pending ``(c_out, f_target)`` contribution, or None at start.
+        f_target: output frequency width (the mirrored encoder layer's input).
+
+    Returns:
+        ``(out, new_state)`` where out is ``(c_out, f_target)`` for one frame
+        and ``(T, c_out, f_target)`` for a block.
+    """
+    c_out, c_in, kt, kf = weight.shape
+    frames = _frames(x_now, 2)
+    if frames.ndim != 3 or frames.shape[1] != c_in:
+        raise ValueError(f"expected input of ({c_in}, F) or (T, {c_in}, F), got {x_now.shape}")
+    t_len, _, f_in = frames.shape
     full = (f_in - 1) * 2 + kf
     crop = full - f_target
     if crop < 0 or crop > kf - 1:
@@ -147,39 +194,22 @@ def _tconv_freq(w_tap: np.ndarray, x: np.ndarray, f_target: int) -> np.ndarray:
             f"(full output {full}, max crop {kf - 1})"
         )
     left = crop // 2  # odd crops remove the extra sample at the high end
-    out = np.zeros((c_out, full))
+    taps = weight.transpose(0, 2, 3, 1).reshape(c_out * kt * kf, c_in)
+    cols = taps @ frames.transpose(1, 0, 2).reshape(c_in, t_len * f_in)
+    cols = cols.reshape(c_out, kt, kf, t_len, f_in)
+    up = np.zeros((c_out, kt, t_len, full))
     for k in range(kf):
-        out[:, k : k + 2 * f_in : 2] += w_tap[:, :, k] @ x
-    return out[:, left : left + f_target]
-
-
-def tconv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state, f_target: int):
-    """Streaming transposed 2-D convolution (frequency upsampling by 2).
-
-    The time kernel of 2 is realized causally: the emitted frame adds the
-    stored contribution of the previous input frame, and the current frame's
-    future-tap contribution is stored in the returned state.
-
-    Args:
-        weight: ``(c_out, c_in, kernel_t, kernel_f)``.
-        bias: ``(c_out,)``.
-        x_now: current input frame, ``(c_in, freq)``.
-        state: pending ``(c_out, f_target)`` contribution, or None at start.
-        f_target: output frequency width (the mirrored encoder layer's input).
-
-    Returns:
-        ``(out, new_state)`` where out is ``(c_out, f_target)``.
-    """
-    c_out, c_in, kt, kf = weight.shape
-    if x_now.ndim != 2 or x_now.shape[0] != c_in:
-        raise ValueError(f"expected input of ({c_in}, F), got {x_now.shape}")
-    out = _tconv_freq(weight[:, :, 0, :], x_now, f_target) + bias[:, None]
-    if kt == 1:
-        return out, None
-    if state is not None:
-        out = out + state
-    new_state = _tconv_freq(weight[:, :, 1, :], x_now, f_target)
-    return out, new_state
+        up[..., k : k + 2 * f_in : 2] += cols[:, :, k]
+    up = up[..., left : left + f_target]
+    out = up[:, 0] + bias[:, None, None]
+    new_state = None
+    if kt == 2:
+        if state is not None:
+            out[:, 0] += state
+        out[:, 1:] += up[:, 1, :-1]
+        new_state = up[:, 1, -1].copy()  # not a view that keeps the block alive
+    out = out.transpose(1, 0, 2)
+    return (out if x_now.ndim == 3 else out[0]), new_state
 
 
 def activation_apply(kind: str, x: np.ndarray) -> np.ndarray:
@@ -206,7 +236,7 @@ def skip_combine(kind: str, enc: np.ndarray, dec: np.ndarray, scale=None, bias=N
     if kind == "none":
         return dec
     if kind == "concat":
-        return np.concatenate([enc, dec], axis=0)
+        return np.concatenate([enc, dec], axis=-2)
     if enc.shape != dec.shape:
         raise ValueError(f"skip shapes differ: encoder {enc.shape} vs decoder {dec.shape}")
     if kind == "add":

@@ -2,7 +2,8 @@
 
 The engine consumes one hop of input at a time and emits one hop of enhanced
 output, matching the batch path stft -> infer_utterance -> apply_gain ->
-istft sample for sample.  Total algorithmic delay is one window (20 ms).
+istft sample for sample to within 1e-10.  Total algorithmic delay is one
+window (20 ms).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ class EnhanceStats:
     mean_frame_ms: float
     max_frame_ms: float
     hop_ms: float
+    nonfinite_hops: int   # hops whose NaN or infinite samples were zeroed
 
     @property
     def realtime_factor(self) -> float:
@@ -47,6 +49,7 @@ class StreamingEnhancer:
         self._acc = np.zeros(config.window_len)
         self._env = np.zeros(config.window_len)
         self._frames = 0
+        self._nonfinite_hops = 0
         self._busy_s = 0.0   # summed and worst process_hop wall time
         self._worst_s = 0.0
 
@@ -55,7 +58,9 @@ class StreamingEnhancer:
 
         The first emitted hop corresponds to the causal head padding and is
         all zeros; callers streaming a whole file drop it (see
-        :func:`enhance_signal`).
+        :func:`enhance_signal`).  NaN or infinite input samples are replaced
+        by 0.0 before they reach any state, so one bad hop cannot poison
+        the stream; such hops are counted in ``stats().nonfinite_hops``.
         """
         cfg = self.config
         hop_samples = np.asarray(hop_samples, dtype=np.float64)
@@ -63,6 +68,10 @@ class StreamingEnhancer:
             raise ValueError(f"expected {cfg.hop_len} samples, got {len(hop_samples)}")
         started = time.perf_counter()
 
+        finite = np.isfinite(hop_samples)
+        if not finite.all():
+            hop_samples = np.where(finite, hop_samples, 0.0)
+            self._nonfinite_hops += 1
         self._input[: -cfg.hop_len] = self._input[cfg.hop_len :]
         self._input[-cfg.hop_len :] = hop_samples
 
@@ -97,6 +106,7 @@ class StreamingEnhancer:
             mean_frame_ms=mean_s * 1e3,
             max_frame_ms=self._worst_s * 1e3,
             hop_ms=self.config.hop_ms,
+            nonfinite_hops=self._nonfinite_hops,
         )
 
 
@@ -107,16 +117,21 @@ def enhance_signal(graph: ModelGraph, samples: np.ndarray,
     Returns:
         ``(enhanced, stats)`` where enhanced has exactly the input length;
         any tail shorter than a hop is emitted as silence.
+
+    Raises:
+        ValueError: when the signal is shorter than one hop, so that no
+            audio would be processed.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    engine = StreamingEnhancer(graph, config)
     hop = config.hop_len
+    if len(samples) < hop:
+        raise ValueError(f"signal of {len(samples)} samples is shorter than one hop ({hop})")
+    engine = StreamingEnhancer(graph, config)
     n_hops = len(samples) // hop
     out = np.zeros(len(samples))
     for i in range(n_hops):
         chunk = engine.process_hop(samples[i * hop : (i + 1) * hop])
         if i >= 1:  # the first emission is the synthetic head padding
             out[(i - 1) * hop : i * hop] = chunk
-    if n_hops >= 1:
-        out[(n_hops - 1) * hop : n_hops * hop] = engine.flush()
+    out[(n_hops - 1) * hop : n_hops * hop] = engine.flush()
     return out, engine.stats()

@@ -1,12 +1,17 @@
 """Shared fixtures: synthetic audio assets and a manifest for datagen tests,
-and malformed weight bundles."""
+and malformed weight bundles; the hypothesis profile of the property tests."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cruse.audio_io import write_wav
+
+# Derandomized, so that every run of the suite draws the same examples.
+settings.register_profile("cruse", derandomize=True, database=None, deadline=None)
+settings.load_profile("cruse")
 
 SR = 16000
 

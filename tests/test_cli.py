@@ -70,6 +70,16 @@ def test_enhance_rejects_malformed_bundle(tmp_path, capsys, malformed_bundle):
     assert not dst.exists()
 
 
+def test_enhance_rejects_input_shorter_than_one_hop(tmp_path, capsys):
+    src = tmp_path / "short.wav"
+    dst = tmp_path / "out.wav"
+    write_wav(src, 0.1 * np.ones(100), SR)
+    code, _, err = run(capsys, "enhance", str(src), str(dst), "--model", "NSnet2-16")
+    assert code == 1
+    assert "error:" in err and "shorter than one hop" in err and "Traceback" not in err
+    assert not dst.exists()
+
+
 def test_enhance_rejects_wrong_sample_rate(tmp_path, capsys):
     src = tmp_path / "in8k.wav"
     write_wav(src, np.zeros(8000), 8000)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,25 @@ def test_istft_dc_only_matches_overlap_add_closed_form():
     keep = slice(160, 160 + frames * 160)  # drop the padded head (den[0] is 0 there)
     expected = num[keep] / den[keep]
     np.testing.assert_allclose(out, expected, atol=1e-9)
+
+
+# SHA-256 of the istft output bytes for a seeded random spectrogram, recorded
+# with the per-frame overlap-add loop that the slice adds replaced.
+ISTFT_GOLDEN = {
+    0: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    1: "1f9314c86ec74f9510ef70aecd9452db46bc2709259c4cb4be89a91c9be0631d",
+    2: "eb166b41dc22dde9c3dcc8b3885e0da3f125e8ba69ef049a1c65114d4b38e51d",
+    37: "00f3c891dfdb6512743c30a44c2fee2d67301d373ec5c498d7f731afa8e02444",
+}
+
+
+@pytest.mark.parametrize("frames", sorted(ISTFT_GOLDEN))
+def test_istft_output_bits_match_golden(frames):
+    rng = np.random.default_rng([1984, frames])
+    spec = rng.standard_normal((frames, 161)) + 1j * rng.standard_normal((frames, 161))
+    out = istft(spec, CFG)
+    assert out.shape == (frames * 160,)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == ISTFT_GOLDEN[frames]
 
 
 def test_roundtrip_recovers_constant_signal():

@@ -140,6 +140,16 @@ def test_fc_matches_dot_product_oracle():
     np.testing.assert_allclose(fc_forward(w, b, x), expected, atol=1e-12)
 
 
+def test_fc_block_rows_equal_single_frames():
+    rng = np.random.default_rng(13)
+    w = rng.standard_normal((5, 4))
+    b = rng.standard_normal(5)
+    xs = rng.standard_normal((7, 4))
+    out = fc_forward(w, b, xs)
+    assert out.shape == (7, 5)
+    np.testing.assert_allclose(out, [fc_forward(w, b, x) for x in xs], rtol=0, atol=1e-12)
+
+
 def test_fc_shape_mismatch():
     with pytest.raises(ValueError):
         fc_forward(np.zeros((2, 3)), np.zeros(2), np.zeros(4))
@@ -222,6 +232,30 @@ def test_recurrent_streaming_matches_sequential_scan():
         np.testing.assert_array_equal(h2, outs[t])
 
 
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_recurrent_block_equals_frame_loop(kind):
+    rng = np.random.default_rng(14)
+    step = gru_step if kind == "gru" else lstm_step
+    w = (random_gru if kind == "gru" else random_lstm)(rng, 4, 5)
+    xs = rng.standard_normal((9, 4))
+    start = [rng.standard_normal(5) for _ in range(1 if kind == "gru" else 2)]
+    looped, carried = [], start
+    for x in xs:
+        y, *carried = step(w, x, *carried)
+        looped.append(y)
+    ys, *last = step(w, xs, *start)
+    assert ys.shape == (9, 5)
+    np.testing.assert_allclose(ys, looped, rtol=0, atol=1e-12)
+    for got, want in zip(last, carried):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(ys[-1], last[0])
+
+
+def test_recurrent_block_rejects_wrong_rank():
+    with pytest.raises(ValueError):
+        gru_step(zero_rnn_weights(GRU_GATES, 3, 4), np.zeros((2, 2, 3)), np.zeros(4))
+
+
 # ---------------------------------------------------------------------------
 # convolutions
 
@@ -274,6 +308,20 @@ def test_conv_1d_kernel_needs_no_state():
         np.testing.assert_allclose(out, expected[t], atol=1e-12)
 
 
+@pytest.mark.parametrize("kt", [1, 2])
+def test_conv_blocks_match_batch_oracle(kt):
+    rng = np.random.default_rng(15)
+    w = rng.standard_normal((3, 2, kt, 3))
+    b = rng.standard_normal(3)
+    frames = rng.standard_normal((7, 2, 9))
+    expected = conv_batch_oracle(w, b, frames)
+    whole, _ = conv2d_step(w, b, frames)
+    np.testing.assert_allclose(whole, expected, atol=1e-12)
+    head, state = conv2d_step(w, b, frames[:4])
+    tail, _ = conv2d_step(w, b, frames[4:], state)
+    np.testing.assert_allclose(np.concatenate([head, tail]), expected, atol=1e-12)
+
+
 def test_conv_channel_mismatch():
     with pytest.raises(ValueError):
         conv2d_step(np.zeros((2, 3, 2, 3)), np.zeros(2), np.zeros((1, 8)))
@@ -298,6 +346,20 @@ def test_tconv_streaming_matches_batch_oracle():
     for t in range(5):
         out, state = tconv2d_step(w, b, frames[t], state, 11)
         np.testing.assert_allclose(out, expected[t], atol=1e-12)
+
+
+@pytest.mark.parametrize("kt", [1, 2])
+def test_tconv_blocks_match_batch_oracle(kt):
+    rng = np.random.default_rng(16)
+    w = rng.standard_normal((2, 3, kt, 3))
+    b = rng.standard_normal(2)
+    frames = rng.standard_normal((7, 3, 6))
+    expected = tconv_batch_oracle(w, b, frames, 11)
+    whole, _ = tconv2d_step(w, b, frames, None, 11)
+    np.testing.assert_allclose(whole, expected, atol=1e-12)
+    head, state = tconv2d_step(w, b, frames[:4], None, 11)
+    tail, _ = tconv2d_step(w, b, frames[4:], state, 11)
+    np.testing.assert_allclose(np.concatenate([head, tail]), expected, atol=1e-12)
 
 
 def test_tconv_upsampling_shapes():
@@ -346,6 +408,20 @@ def test_parallel_rnn_zero_group_outputs_zero():
     assert np.any(y[:3] != 0)
 
 
+def test_parallel_rnn_block_equals_frame_loop():
+    rng = np.random.default_rng(10)
+    layer = RnnLayer("rnn", "lstm", [[random_lstm(rng, 3, 3)], [random_lstm(rng, 3, 3)]])
+    xs = rng.standard_normal((5, 6))
+
+    def fresh():
+        return [[[np.zeros(3), np.zeros(3)]] for _ in range(2)]
+
+    frame_states, block_states = fresh(), fresh()
+    looped = [rnn_block_step(layer, x, frame_states) for x in xs]
+    np.testing.assert_allclose(rnn_block_step(layer, xs, block_states), looped, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(block_states, frame_states, rtol=0, atol=1e-12)
+
+
 def test_parallel_rnn_indivisible_length_errors():
     rng = np.random.default_rng(11)
     layer = RnnLayer("rnn", "gru", [[random_gru(rng, 2, 2)]] * 3)
@@ -365,6 +441,8 @@ def test_skip_combine_variants():
         atol=1e-15,
     )
     assert skip_combine("concat", enc, dec).shape == (32, 81)
+    block = skip_combine("concat", np.stack([enc, enc]), np.stack([dec, dec]))
+    np.testing.assert_array_equal(block[1], np.concatenate([enc, dec]))
     scale = rng.standard_normal(16)
     bias = rng.standard_normal(16)
     expected = scale[:, None] * enc + bias[:, None] + dec

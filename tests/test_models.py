@@ -253,7 +253,8 @@ def test_utterance_equals_streaming_loop():
     feats = np.random.default_rng(3).standard_normal((25, 161))
     state = StreamState(graph)
     streamed = np.stack([infer_frame(graph, state, f) for f in feats])
-    np.testing.assert_array_equal(infer_utterance(graph, feats), streamed)
+    # block matmuls round differently from per-frame ones
+    np.testing.assert_allclose(infer_utterance(graph, feats), streamed, rtol=0, atol=1e-12)
 
 
 def test_single_frame_utterance():

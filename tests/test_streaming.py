@@ -72,3 +72,29 @@ def test_stats_before_any_hop_are_zero():
     stats = StreamingEnhancer(build_model(parse_model_name("NSnet2-16")), CFG).stats()
     assert (stats.frames, stats.mean_frame_ms, stats.max_frame_ms) == (0, 0.0, 0.0)
     assert stats.realtime_factor == 0.0
+
+
+def test_short_signal_errors():
+    graph = build_model(parse_model_name("NSnet2-16"))
+    for n in (0, 100, 159):
+        with pytest.raises(ValueError, match="shorter than one hop"):
+            enhance_signal(graph, np.zeros(n), CFG)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_sample_is_zeroed_and_counted(bad):
+    graph = init_test_weights(build_model(parse_model_name("CRUSE4-32-1xGRU2")), 25)
+    x = 0.1 * np.random.default_rng(3).standard_normal(40 * CFG.hop_len)
+    hops = x.reshape(-1, CFG.hop_len)
+    poisoned = hops.copy()
+    poisoned[5, 17] = bad
+    zeroed = hops.copy()
+    zeroed[5, 17] = 0.0
+    engine = StreamingEnhancer(graph, CFG)
+    reference = StreamingEnhancer(graph, CFG)
+    for i in range(len(hops)):
+        out = engine.process_hop(poisoned[i])
+        np.testing.assert_array_equal(out, reference.process_hop(zeroed[i]))
+        assert np.isfinite(out).all()
+    assert engine.stats().nonfinite_hops == 1
+    assert reference.stats().nonfinite_hops == 0

@@ -77,6 +77,17 @@ def num_frames(num_samples: int, config: StftConfig) -> int:
     return (padded - config.window_len) // config.hop_len + 1
 
 
+def require_frames(num_samples: int, config: StftConfig) -> int:
+    """:func:`num_frames`, raising ``ValueError`` when it is zero (a signal
+    shorter than one hop)."""
+    frames = num_frames(num_samples, config)
+    if frames < 1:
+        raise ValueError(
+            f"signal of {num_samples} samples is shorter than one hop ({config.hop_len})"
+        )
+    return frames
+
+
 def stft(samples: np.ndarray, config: StftConfig = StftConfig()) -> np.ndarray:
     """Forward transform of a mono signal.
 
@@ -91,11 +102,7 @@ def stft(samples: np.ndarray, config: StftConfig = StftConfig()) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise ValueError(f"expected a 1-D signal, got shape {samples.shape}")
-    frames = num_frames(len(samples), config)
-    if frames < 1:
-        raise ValueError(
-            f"signal of {len(samples)} samples is shorter than one hop ({config.hop_len})"
-        )
+    frames = require_frames(len(samples), config)
     padded = np.concatenate([np.zeros(config.head_pad), samples])
     usable = (frames - 1) * config.hop_len + config.window_len
     segments = sliding_window_view(padded[:usable], config.window_len)[:: config.hop_len]

@@ -132,7 +132,8 @@ def conv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state=N
     patch gather and one matmul.
 
     Args:
-        weight: ``(c_out, c_in, kernel_t, kernel_f)`` with kernel_t in {1, 2}.
+        weight: ``(c_out, c_in, kernel_t, kernel_f)`` with kernel_t in {1, 2}
+            and kernel_f at most 3, the padded width.
         bias: ``(c_out,)``.
         x_now: one input frame ``(c_in, freq)`` or a block ``(T, c_in, freq)``.
         state: ``(kernel_t - 1, c_in, freq)`` history, or None at stream start.
@@ -140,8 +141,14 @@ def conv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state=N
     Returns:
         ``(out, new_state)`` where out is ``(c_out, freq_out)`` for one frame
         and ``(T, c_out, freq_out)`` for a block.
+
+    Raises:
+        ValueError: on a wider frequency kernel, whose patches would reach
+            past the padded input, or an input of the wrong shape.
     """
     c_out, c_in, kt, kf = weight.shape
+    if kf > 3:
+        raise ValueError(f"frequency kernel {kf} is wider than the 1-bin padding allows (3)")
     frames = _frames(x_now, 2)
     if frames.ndim != 3 or frames.shape[1] != c_in:
         raise ValueError(f"expected input of ({c_in}, F) or (T, {c_in}, F), got {x_now.shape}")

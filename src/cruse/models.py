@@ -85,6 +85,11 @@ def nsnet2_spec(rnn_width: int, num_bins: int = DEFAULT_NUM_BINS) -> ModelSpec:
     return ModelSpec(family="nsnet2", num_bins=num_bins, rnn_width=rnn_width)
 
 
+def _check_kernel(kernel) -> None:
+    if tuple(kernel) not in ((2, 3), (1, 3)):
+        raise ValueError(f"unsupported kernel {tuple(kernel)}; use (2, 3) or (1, 3)")
+
+
 def cruse_spec(
     layers: int = 4,
     last_channels: int = 128,
@@ -102,8 +107,7 @@ def cruse_spec(
         raise ValueError(f"unknown RNN kind {rnn_kind!r}")
     if skip_kind not in ("none", "add", "add_conv1x1", "concat"):
         raise ValueError(f"unknown skip kind {skip_kind!r}")
-    if kernel not in ((2, 3), (1, 3)):
-        raise ValueError(f"unsupported kernel {kernel}; use (2, 3) or (1, 3)")
+    _check_kernel(kernel)
     channels = tuple(FIRST_CHANNELS * 2**i for i in range(layers - 1)) + (last_channels,)
     return ModelSpec(
         family="cruse",
@@ -286,8 +290,9 @@ def build_model(spec: ModelSpec) -> ModelGraph:
     """Construct a zero-weighted graph with all shapes resolved.
 
     Raises:
-        ValueError: when the CRUSE bottleneck width is not divisible by the
-            number of parallel groups.
+        ValueError: on a CRUSE kernel other than (2, 3) or (1, 3), or when
+            the CRUSE bottleneck width is not divisible by the number of
+            parallel groups.
     """
     k = spec.num_bins
     if spec.family == "nsnet2":
@@ -310,6 +315,7 @@ def build_model(spec: ModelSpec) -> ModelGraph:
     if spec.family != "cruse":
         raise ValueError(f"unknown model family {spec.family!r}")
 
+    _check_kernel(spec.kernel)
     L = spec.layers
     kt, kf = spec.kernel
     freqs = conv_freq_sizes(k, L)
@@ -495,7 +501,7 @@ def _read_manifest(path, manifest):
             (entry["name"], [(a["field"], tuple(a["shape"])) for a in entry["arrays"]])
             for entry in manifest["layers"]
         ]
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from exc
     return graph, declared
 

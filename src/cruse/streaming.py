@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import StftConfig, log_power_features, make_window, normalize_overlap_add
+from .dsp import (
+    StftConfig,
+    log_power_features,
+    make_window,
+    normalize_overlap_add,
+    require_frames,
+)
 from .models import ModelGraph, StreamState, infer_frame
 
 
@@ -123,9 +129,8 @@ def enhance_signal(graph: ModelGraph, samples: np.ndarray,
             audio would be processed.
     """
     samples = np.asarray(samples, dtype=np.float64)
+    require_frames(len(samples), config)
     hop = config.hop_len
-    if len(samples) < hop:
-        raise ValueError(f"signal of {len(samples)} samples is shorter than one hop ({hop})")
     engine = StreamingEnhancer(graph, config)
     n_hops = len(samples) // hop
     out = np.zeros(len(samples))

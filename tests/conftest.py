@@ -1,6 +1,7 @@
 """Shared fixtures: synthetic audio assets and a manifest for datagen tests,
 and malformed weight bundles; the hypothesis profile of the property tests."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -101,12 +102,32 @@ def _write_bundle(path, manifest, blob):
     path.write_bytes(BUNDLE_MAGIC + len(text).to_bytes(4, "little") + text + blob)
 
 
-@pytest.fixture(params=["no-spec", "no-kernel", "list-manifest", "nan-weight", "inf-weight"])
+def _wide_kernel_graph():
+    """A CRUSE2-16 graph whose conv and tconv weights have a (2, 5) kernel."""
+    from cruse.models import build_model, cruse_spec
+
+    graph = build_model(cruse_spec(2, 16))
+    graph.spec = dataclasses.replace(graph.spec, kernel=(2, 5))
+    for layer in graph.encoder + graph.decoder:
+        layer.weight = np.zeros(layer.weight.shape[:3] + (5,))
+    return graph
+
+
+@pytest.fixture(
+    params=["no-spec", "no-kernel", "list-manifest", "nan-weight", "inf-weight", "kernel-2x5"]
+)
 def malformed_bundle(request, tmp_path):
-    """A weight bundle with one schema or value defect that loading must reject."""
+    """A weight bundle with one schema or value defect that loading must reject.
+
+    ``kernel-2x5`` is self-consistent (its array shapes match the kernel it
+    declares) but names a kernel the layers do not support.
+    """
     from cruse.models import build_model, init_test_weights, nsnet2_spec, save_weights
 
     path = tmp_path / f"{request.param}.cwb"
+    if request.param == "kernel-2x5":
+        save_weights(init_test_weights(_wide_kernel_graph(), 1), path)
+        return path
     save_weights(init_test_weights(build_model(nsnet2_spec(16)), 1), path)
     manifest, blob = _bundle_parts(path)
     if request.param == "no-spec":

@@ -275,6 +275,12 @@ def test_conv_delta_kernel_copies_strided_input():
     np.testing.assert_array_equal(out[0], x[0, ::2])
 
 
+@pytest.mark.parametrize("freq", [7, 8])
+def test_conv_rejects_frequency_kernel_wider_than_padding(freq):
+    with pytest.raises(ValueError, match="frequency kernel 5"):
+        conv2d_step(np.zeros((1, 1, 2, 5)), np.zeros(1), np.zeros((4, 1, freq)))
+
+
 def test_conv_streaming_matches_batch_oracle():
     rng = np.random.default_rng(4)
     w = rng.standard_normal((2, 1, 2, 3))

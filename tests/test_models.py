@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -100,6 +101,14 @@ def test_cruse_bottleneck_grouping():
 def test_cruse_indivisible_groups_error():
     with pytest.raises(ValueError, match="divisible"):
         build_model(cruse_spec(layers=4, last_channels=128, parallel_groups=5))
+
+
+def test_unsupported_kernel_errors_in_spec_and_build():
+    with pytest.raises(ValueError, match="unsupported kernel"):
+        cruse_spec(kernel=(2, 5))
+    spec = dataclasses.replace(cruse_spec(layers=2, last_channels=16), kernel=(2, 5))
+    with pytest.raises(ValueError, match="unsupported kernel"):
+        build_model(spec)
 
 
 def test_cruse_decoder_mirrors_encoder():

@@ -1,7 +1,8 @@
 """Mono WAV file access: RIFF PCM 16-bit and 32-bit IEEE float at 16 kHz.
 
 Samples are normalized floats in [-1, 1); 16-bit data is divided by 32768 on
-read and scaled back (with clipping) on write.
+read and scaled back on write, where out-of-range samples are clipped and
+counted.
 """
 
 from __future__ import annotations
@@ -35,15 +36,20 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     return samples, int(rate)
 
 
-def write_wav(path, samples: np.ndarray, sample_rate: int, fmt: str = "pcm16") -> None:
-    """Write a mono WAV file as 16-bit PCM (default) or 32-bit IEEE float."""
+def write_wav(path, samples: np.ndarray, sample_rate: int, fmt: str = "pcm16") -> int:
+    """Write a mono WAV file as 16-bit PCM (default) or 32-bit IEEE float.
+
+    Returns the number of samples clipped to the 16-bit range (0 for float32).
+    """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise ValueError(f"expected a mono signal, got shape {samples.shape}")
-    if fmt == "pcm16":
-        scaled = np.clip(np.round(samples * PCM16_SCALE), -PCM16_SCALE, PCM16_SCALE - 1)
-        wavfile.write(path, sample_rate, scaled.astype(np.int16))
-    elif fmt == "float32":
+    if fmt == "float32":
         wavfile.write(path, sample_rate, samples.astype(np.float32))
-    else:
+        return 0
+    if fmt != "pcm16":
         raise ValueError(f"unknown WAV format {fmt!r}; use 'pcm16' or 'float32'")
+    scaled = np.round(samples * PCM16_SCALE)
+    clipped = np.clip(scaled, -PCM16_SCALE, PCM16_SCALE - 1)
+    wavfile.write(path, sample_rate, clipped.astype(np.int16))
+    return int(np.count_nonzero(clipped != scaled))

@@ -60,11 +60,11 @@ def cmd_enhance(args) -> int:
         )
     graph = _load_graph(args)
     enhanced, stats = enhance_signal(graph, samples, cfg)
-    write_wav(args.output, enhanced, rate, fmt=args.wav_format)
+    clipped = write_wav(args.output, enhanced, rate, fmt=args.wav_format)
     print(
         f"{format_model_name(graph.spec)}: {stats.frames} frames, "
         f"mean {stats.mean_frame_ms:.3f} ms/frame, max {stats.max_frame_ms:.3f} ms, "
-        f"realtime factor {stats.realtime_factor:.4f}",
+        f"realtime factor {stats.realtime_factor:.4f}, {clipped} clipped samples",
         file=sys.stderr,
     )
     return 0

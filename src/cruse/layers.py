@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.special import expit
 
 LEAKY_RELU_SLOPE = 0.2
@@ -93,12 +92,21 @@ def gru_step(weights: RnnWeights, x: np.ndarray, h: np.ndarray):
     gi = frames @ weights.w_input.T + weights.b_input
     ys = np.empty((len(frames), w))
     for t, g in enumerate(gi):
-        gh = weights.w_hidden @ h + weights.b_hidden
-        rz = expit(g[: 2 * w] + gh[: 2 * w])
-        n = np.tanh(g[2 * w :] + rz[:w] * gh[2 * w :])
+        # the docstring formulas, in place where a value is not read again
+        gh = weights.w_hidden @ h
+        gh += weights.b_hidden
+        rz = gh[: 2 * w]
+        rz += g[: 2 * w]
+        expit(rz, out=rz)
+        n = gh[2 * w :]
+        n *= rz[:w]
+        n += g[2 * w :]
+        np.tanh(n, out=n)
         z = rz[w:]
-        h = ys[t] = (1.0 - z) * n + z * h
-    return (ys if x.ndim == 2 else ys[0]), h
+        h = np.multiply(z, h, out=ys[t])
+        h += (1.0 - z) * n
+    # a row of ys: copied, so that the state does not keep ys alive
+    return (ys if x.ndim == 2 else ys[0]), h.copy()
 
 
 def lstm_step(weights: RnnWeights, x: np.ndarray, h: np.ndarray, c: np.ndarray):
@@ -158,15 +166,22 @@ def conv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state=N
         padded[: kt - 1, :, 1:-1] = state
     padded[kt - 1 :, :, 1:-1] = frames
     f_out = (freq - 1) // 2 + 1
-    # every strided patch, as columns (c_in, kt, kf) x (T, f_out)
+    # every strided patch, as columns (c_in, kt, kf) x (T, f_out); the
+    # ndarray constructor raises if they reach past the padded buffer
     s_t, s_c, s_f = padded.strides
-    patches = as_strided(
-        padded, (c_in, kt, kf, t_len, f_out), (s_c, s_t, s_f, s_t, 2 * s_f), writeable=False
+    patches = np.ndarray(
+        (c_in, kt, kf, t_len, f_out), padded.dtype, padded, 0, (s_c, s_t, s_f, s_t, 2 * s_f)
     ).reshape(c_in * kt * kf, t_len * f_out)
-    out = weight.reshape(c_out, -1) @ patches + bias[:, None]
+    out = weight.reshape(c_out, -1) @ patches
+    out += bias[:, None]
     out = out.reshape(c_out, t_len, f_out).transpose(1, 0, 2)
     # copied, so that the state does not keep the whole block alive
     return (out if x_now.ndim == 3 else out[0]), padded[t_len:, :, 1:-1].copy()
+
+
+def _tconv_taps(weight: np.ndarray) -> np.ndarray:
+    # (c_out * kt * kf, c_in): a view of a weight stored so (see build_model)
+    return weight.transpose(0, 2, 3, 1).reshape(-1, weight.shape[1])
 
 
 def tconv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state, f_target: int):
@@ -178,7 +193,9 @@ def tconv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state,
     matmul.
 
     Args:
-        weight: ``(c_out, c_in, kernel_t, kernel_f)``.
+        weight: ``(c_out, c_in, kernel_t, kernel_f)``.  The matmul takes its
+            rows in ``(c_out, kernel_t, kernel_f)`` order: a view of a weight
+            stored as that matrix (``build_model`` does), a copy of others.
         bias: ``(c_out,)``.
         x_now: one input frame ``(c_in, freq)`` or a block ``(T, c_in, freq)``.
         state: pending ``(c_out, f_target)`` contribution, or None at start.
@@ -201,12 +218,17 @@ def tconv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state,
             f"(full output {full}, max crop {kf - 1})"
         )
     left = crop // 2  # odd crops remove the extra sample at the high end
-    taps = weight.transpose(0, 2, 3, 1).reshape(c_out * kt * kf, c_in)
-    cols = taps @ frames.transpose(1, 0, 2).reshape(c_in, t_len * f_in)
+    cols = _tconv_taps(weight) @ frames.transpose(1, 0, 2).reshape(c_in, t_len * f_in)
     cols = cols.reshape(c_out, kt, kf, t_len, f_in)
     up = np.zeros((c_out, kt, t_len, full))
     for k in range(kf):
-        up[..., k : k + 2 * f_in : 2] += cols[:, :, k]
+        # taps 0 and 1 are the first on their bins: a copy costs less than
+        # an add, and equals adding to zero up to the sign of a zero
+        bins = up[..., k : k + 2 * f_in : 2]
+        if k < 2:
+            bins[...] = cols[:, :, k]
+        else:
+            bins += cols[:, :, k]
     up = up[..., left : left + f_target]
     out = up[:, 0] + bias[:, None, None]
     new_state = None
@@ -224,7 +246,7 @@ def activation_apply(kind: str, x: np.ndarray) -> np.ndarray:
     if kind == "relu":
         return np.maximum(x, 0.0)
     if kind == "leaky_relu":
-        return np.where(x >= 0.0, x, LEAKY_RELU_SLOPE * x)
+        return np.maximum(x, LEAKY_RELU_SLOPE * x)
     if kind == "sigmoid":
         return expit(x)
     if kind == "none":

@@ -22,6 +22,7 @@ import numpy as np
 from .layers import (
     GRU_GATES,
     LSTM_GATES,
+    _tconv_taps,
     activation_apply,
     conv2d_step,
     fc_forward,
@@ -225,7 +226,7 @@ class ConvLayer:
 @dataclass
 class TconvLayer:
     name: str
-    weight: np.ndarray           # (c_out, c_in, kt, kf)
+    weight: np.ndarray           # (c_out, c_in, kt, kf), stored as its tap matrix (build_model)
     bias: np.ndarray
     activation: str
     in_freq: int
@@ -351,12 +352,15 @@ def build_model(spec: ModelSpec) -> ModelGraph:
     concat = spec.skip_kind == "concat"
     decoder = []
     for j in range(L):
-        c_in = spec.channels[L - 1 - j]
+        c_in = spec.channels[L - 1 - j] * (2 if concat else 1)
         c_out = chans[L - 1 - j]
+        # Stored as the tap matrix tconv2d_step multiplies with, which it then
+        # takes as a view instead of copying the weight on every call.
+        taps = _tconv_taps(np.zeros((c_out, c_in, kt, kf)))
         decoder.append(
             TconvLayer(
                 f"dec{j + 1}",
-                np.zeros((c_out, c_in * (2 if concat else 1), kt, kf)),
+                taps.reshape(c_out, kt, kf, c_in).transpose(0, 3, 1, 2),
                 np.zeros(c_out),
                 "sigmoid" if j == L - 1 else "leaky_relu",
                 in_freq=freqs[L - j],

@@ -32,6 +32,15 @@ def test_pcm16_clips_out_of_range(tmp_path):
     assert y[1] == -1.0
 
 
+def test_pcm16_write_returns_the_number_of_clipped_samples(tmp_path):
+    # 1.0 and 0.99999 round to 32768, one above the largest 16-bit value;
+    # -1.0 is representable and -1.00002 rounds to -32769
+    x = np.array([0.5, 1.0, -1.0, 0.99999, 2.0, -2.0, -1.00002, 0.0, -0.3])
+    assert write_wav(tmp_path / "x.wav", x, 16000) == 5
+    assert write_wav(tmp_path / "y.wav", x, 16000, fmt="float32") == 0
+    assert write_wav(tmp_path / "z.wav", np.zeros(10), 16000) == 0
+
+
 def test_rejects_stereo(tmp_path):
     path = tmp_path / "stereo.wav"
     wavfile.write(path, 16000, np.zeros((100, 2), dtype=np.int16))

@@ -60,6 +60,25 @@ def test_enhance_with_bundle(tmp_path, capsys):
     assert "test weights" not in err
 
 
+def test_enhance_reports_clipped_output_samples(tmp_path, capsys):
+    # zero weights and an output bias of 40 give gains of exactly 1.0, so the
+    # enhanced signal is the input and its 7 samples of magnitude 1.5 clip
+    graph = build_model(parse_model_name("NSnet2-16"))
+    graph.stack[-1].bias[:] = 40.0
+    bundle = tmp_path / "identity.cwb"
+    save_weights(graph, bundle)
+    x = 0.01 * np.random.default_rng(2).standard_normal(SR)
+    x[5000:5007] = [1.5, -1.5, 1.5, 1.5, -1.5, 1.5, -1.5]
+    src = tmp_path / "in.wav"
+    dst = tmp_path / "out.wav"
+    write_wav(src, x, SR, fmt="float32")
+    code, _, err = run(capsys, "enhance", str(src), str(dst), "--bundle", str(bundle))
+    assert code == 0
+    assert ", 7 clipped samples" in err
+    out, _ = read_wav(dst)
+    np.testing.assert_array_equal(np.abs(out[5000:5007]) >= 32767 / 32768, True)
+
+
 def test_enhance_rejects_malformed_bundle(tmp_path, capsys, malformed_bundle):
     src = tmp_path / "in.wav"
     dst = tmp_path / "out.wav"

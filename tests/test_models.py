@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from cruse.layers import _tconv_taps, tconv2d_step
 from cruse.models import (
     BUNDLE_MAGIC,
     LCG_INC,
@@ -180,6 +181,34 @@ def test_bundle_round_trip_bit_identical(tmp_path):
     loaded = load_weights(path)
     feats = np.random.default_rng(0).standard_normal((6, 161))
     np.testing.assert_array_equal(infer_utterance(graph, feats), infer_utterance(loaded, feats))
+
+
+@pytest.mark.parametrize("source", ["build_model", "init_test_weights", "load_weights"])
+def test_tconv_weights_are_stored_as_their_tap_matrix(tmp_path, source):
+    # concat doubles the decoder inputs; the last decoder layer has one output
+    spec = cruse_spec(layers=3, last_channels=32, skip_kind="concat")
+    rng = np.random.default_rng(6)
+    graph = build_model(spec)
+    if source == "build_model":
+        for layer in graph.decoder:
+            layer.weight[...] = rng.uniform(-0.1, 0.1, layer.weight.shape)
+    else:
+        init_test_weights(graph, 6)
+    if source == "load_weights":
+        save_weights(graph, tmp_path / "w.cwb")
+        graph = load_weights(tmp_path / "w.cwb")
+    for layer in graph.decoder:
+        assert np.shares_memory(_tconv_taps(layer.weight), layer.weight)
+        copy = np.ascontiguousarray(layer.weight)
+        c_out, c_in = copy.shape[:2]
+        for t_len in (1, 64):
+            x = rng.standard_normal((t_len, c_in, layer.in_freq))
+            x = x[0] if t_len == 1 else x
+            state = rng.standard_normal((c_out, layer.f_target))
+            out, new_state = tconv2d_step(layer.weight, layer.bias, x, state, layer.f_target)
+            ref_out, ref_state = tconv2d_step(copy, layer.bias, x, state, layer.f_target)
+            np.testing.assert_array_equal(out, ref_out)
+            np.testing.assert_array_equal(new_state, ref_state)
 
 
 def test_bundle_truncated_blob_errors(tmp_path):

@@ -1,15 +1,19 @@
-"""Property tests of block-wise inference over random architectures.
+"""Property tests of block-wise inference and MAC accounting over random architectures.
 
 ``infer_utterance`` runs blocks of ``BLOCK_FRAMES`` frames, so utterances of
 up to 150 frames cross one or two block boundaries.  The examples come from
 the derandomized profile registered in ``conftest.py``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cruse.macs import macs_model
 from cruse.models import (
+    RnnLayer,
     StreamState,
     build_model,
     conv_freq_sizes,
@@ -70,3 +74,30 @@ def test_perturbing_a_frame_leaves_earlier_rows_bit_identical(spec, seed, frames
     np.testing.assert_array_equal(
         infer_utterance(graph, perturbed)[:t], infer_utterance(graph, feats)[:t]
     )
+
+
+def _rnn_matrix_macs(spec) -> int:
+    # the recurrent rows of the MAC report less their one add per bias value
+    graph = build_model(spec)
+    rows = {row.name: row.macs for row in macs_model(graph).layers}
+    return sum(
+        rows[layer.name]
+        - sum(cell.b_input.size + cell.b_hidden.size for stack in layer.groups for cell in stack)
+        for layer in graph.iter_layers()
+        if isinstance(layer, RnnLayer)
+    )
+
+
+@settings(max_examples=50)
+@given(SPECS)
+def test_mac_report_identities(spec):
+    graph = build_model(spec)
+    report = macs_model(graph)
+    assert sum(row.macs for row in report.layers) == report.per_frame
+    assert report.params == graph.param_count()
+    if spec.family == "cruse":
+        gru = _rnn_matrix_macs(replace(spec, rnn_kind="gru"))
+        lstm = _rnn_matrix_macs(replace(spec, rnn_kind="lstm"))
+        assert gru > 0 and 3 * lstm == 4 * gru
+        ungrouped = _rnn_matrix_macs(replace(spec, parallel_groups=1))
+        assert _rnn_matrix_macs(spec) * spec.parallel_groups == ungrouped

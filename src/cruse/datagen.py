@@ -272,7 +272,11 @@ class AssetStore:
         base = manifest_path.parent
         entries = []
         with open(manifest_path, newline="") as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh, restval="")
+            missing = {"path", "kind"} - set(reader.fieldnames or ())
+            if missing:
+                raise ValueError(f"{manifest_path}: no {' or '.join(sorted(missing))} column")
+            for row in reader:
                 kind = row["kind"].strip()
                 if kind not in ("speech", "noise", "rir"):
                     raise ValueError(f"{manifest_path}: unknown asset kind {kind!r}")

@@ -27,18 +27,18 @@ class StftConfig:
 
     sample_rate: int = 16000
     window_len: int = 320
-    hop_len: int = 160
     fft_len: int = 320
 
     def __post_init__(self):
         if self.window_len < 2 or self.window_len % 2:
             raise ValueError(f"window_len must be even and >= 2, got {self.window_len}")
-        if self.hop_len * 2 != self.window_len:
-            raise ValueError(
-                f"hop_len must be window_len / 2, got hop {self.hop_len} for window {self.window_len}"
-            )
         if self.fft_len < self.window_len:
             raise ValueError(f"fft_len {self.fft_len} smaller than window_len {self.window_len}")
+
+    @property
+    def hop_len(self) -> int:
+        """Half a window: the overlap-add assumes 50% overlap."""
+        return self.window_len // 2
 
     @property
     def num_bins(self) -> int:

@@ -176,7 +176,11 @@ def read_scores_file(path) -> dict[str, dict[str, float]]:
     """Read externally supplied scores: delimited columns id, pesq[, dnsmos]."""
     out: dict[str, dict[str, float]] = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh, restval="")
+        missing = {"id", "pesq"} - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"{path}: no {' or '.join(sorted(missing))} column")
+        for row in reader:
             rec = {"pesq": float(row["pesq"])}
             if row.get("dnsmos"):
                 rec["dnsmos"] = float(row["dnsmos"])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -66,7 +66,12 @@ _CONVENTIONS = {
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description; see the family helpers below."""
+    """Architecture description; see the family helpers below.
+
+    Every spec is checked when it is made (from a name, a helper,
+    ``dataclasses.replace`` or a bundle manifest): an invalid one raises
+    ``ValueError``.
+    """
 
     family: str                      # "nsnet2" | "cruse"
     num_bins: int = DEFAULT_NUM_BINS
@@ -79,16 +84,44 @@ class ModelSpec:
     skip_kind: str = "add"           # none | add | add_conv1x1 | concat
     kernel: tuple[int, int] = (2, 3)
 
+    def __post_init__(self):
+        if self.family not in ("nsnet2", "cruse"):
+            raise ValueError(f"unknown model family {self.family!r}")
+        if self.num_bins < 1:
+            raise ValueError(f"num_bins must be positive, got {self.num_bins}")
+        # NSnet2 reads rnn_width and CRUSE all the other fields after num_bins;
+        # the fields a family does not read keep their defaults
+        for f in fields(self)[2:]:
+            value = getattr(self, f.name)
+            if (f.name == "rnn_width") == (self.family == "cruse") and value != f.default:
+                raise ValueError(f"{f.name} must be {f.default!r} for {self.family}, got {value!r}")
+        if self.family == "nsnet2":
+            if self.rnn_width < 1:
+                raise ValueError(f"NSnet2 RNN width must be positive, got {self.rnn_width}")
+            return
+        if self.layers < 1:
+            raise ValueError(f"CRUSE needs at least one encoder layer, got {self.layers}")
+        if len(self.channels) != self.layers or not all(c >= 1 for c in self.channels):
+            raise ValueError(f"need {self.layers} positive channel counts, got {self.channels!r}")
+        if self.rnn_kind not in ("gru", "lstm"):
+            raise ValueError(f"unknown RNN kind {self.rnn_kind!r}")
+        if self.skip_kind not in ("none", "add", "add_conv1x1", "concat"):
+            raise ValueError(f"unknown skip kind {self.skip_kind!r}")
+        if tuple(self.kernel) not in ((2, 3), (1, 3)):
+            raise ValueError(f"unsupported kernel {tuple(self.kernel)}; use (2, 3) or (1, 3)")
+        if self.rnn_layers < 1:
+            raise ValueError(f"CRUSE needs at least one RNN layer, got {self.rnn_layers}")
+        bins = conv_freq_sizes(self.num_bins, self.layers)[-1]
+        width = self.channels[-1] * bins
+        if self.parallel_groups < 1 or width % self.parallel_groups:
+            raise ValueError(
+                f"bottleneck width {width} ({self.channels[-1]} channels x {bins} bins) "
+                f"is not divisible by {self.parallel_groups} parallel groups"
+            )
+
 
 def nsnet2_spec(rnn_width: int, num_bins: int = DEFAULT_NUM_BINS) -> ModelSpec:
-    if rnn_width < 1:
-        raise ValueError(f"NSnet2 RNN width must be positive, got {rnn_width}")
     return ModelSpec(family="nsnet2", num_bins=num_bins, rnn_width=rnn_width)
-
-
-def _check_kernel(kernel) -> None:
-    if tuple(kernel) not in ((2, 3), (1, 3)):
-        raise ValueError(f"unsupported kernel {tuple(kernel)}; use (2, 3) or (1, 3)")
 
 
 def cruse_spec(
@@ -102,13 +135,6 @@ def cruse_spec(
     num_bins: int = DEFAULT_NUM_BINS,
 ) -> ModelSpec:
     """CRUSE spec with channels starting at 16 and doubling, except C_L is free."""
-    if layers < 1:
-        raise ValueError(f"CRUSE needs at least one encoder layer, got {layers}")
-    if rnn_kind not in ("gru", "lstm"):
-        raise ValueError(f"unknown RNN kind {rnn_kind!r}")
-    if skip_kind not in ("none", "add", "add_conv1x1", "concat"):
-        raise ValueError(f"unknown skip kind {skip_kind!r}")
-    _check_kernel(kernel)
     channels = tuple(FIRST_CHANNELS * 2**i for i in range(layers - 1)) + (last_channels,)
     return ModelSpec(
         family="cruse",
@@ -288,13 +314,7 @@ def conv_freq_sizes(num_bins: int, layers: int) -> list[int]:
 
 
 def build_model(spec: ModelSpec) -> ModelGraph:
-    """Construct a zero-weighted graph with all shapes resolved.
-
-    Raises:
-        ValueError: on a CRUSE kernel other than (2, 3) or (1, 3), or when
-            the CRUSE bottleneck width is not divisible by the number of
-            parallel groups.
-    """
+    """Construct a zero-weighted graph with all shapes resolved."""
     k = spec.num_bins
     if spec.family == "nsnet2":
         r = spec.rnn_width
@@ -313,10 +333,6 @@ def build_model(spec: ModelSpec) -> ModelGraph:
         ]
         return ModelGraph(spec=spec, stack=stack)
 
-    if spec.family != "cruse":
-        raise ValueError(f"unknown model family {spec.family!r}")
-
-    _check_kernel(spec.kernel)
     L = spec.layers
     kt, kf = spec.kernel
     freqs = conv_freq_sizes(k, L)
@@ -334,14 +350,8 @@ def build_model(spec: ModelSpec) -> ModelGraph:
         for l in range(L)
     ]
 
-    width = spec.channels[-1] * freqs[-1]
     p = spec.parallel_groups
-    if width % p:
-        raise ValueError(
-            f"bottleneck width {width} ({spec.channels[-1]} channels x {freqs[-1]} bins) "
-            f"is not divisible by {p} parallel groups"
-        )
-    group_width = width // p
+    group_width = spec.channels[-1] * freqs[-1] // p
     gates = GRU_GATES if spec.rnn_kind == "gru" else LSTM_GATES
     groups = [
         [zero_rnn_weights(gates, group_width, group_width) for _ in range(spec.rnn_layers)]
@@ -436,26 +446,16 @@ def init_test_weights(graph: ModelGraph, seed: int) -> ModelGraph:
 # Weight bundles: JSON manifest + float32 little-endian blob
 
 def _manifest(graph: ModelGraph) -> dict:
+    """The manifest of a graph, in JSON types (tuples written as lists)."""
     layers = []
     for layer in graph.iter_layers():
         arrays = [{"field": f, "shape": list(a.shape)} for f, a in layer.param_arrays()]
         layers.append({"name": layer.name, "kind": type(layer).__name__, "arrays": arrays})
-    spec = graph.spec
+    spec = asdict(graph.spec)
     return {
         "format": BUNDLE_FORMAT,
-        "name": format_model_name(spec),
-        "spec": {
-            "family": spec.family,
-            "num_bins": spec.num_bins,
-            "rnn_width": spec.rnn_width,
-            "layers": spec.layers,
-            "channels": list(spec.channels),
-            "rnn_kind": spec.rnn_kind,
-            "rnn_layers": spec.rnn_layers,
-            "parallel_groups": spec.parallel_groups,
-            "skip_kind": spec.skip_kind,
-            "kernel": list(spec.kernel),
-        },
+        "name": format_model_name(graph.spec),
+        "spec": {k: list(v) if isinstance(v, tuple) else v for k, v in spec.items()},
         "conventions": _CONVENTIONS,
         "layers": layers,
         "total_params": graph.param_count(),
@@ -477,46 +477,21 @@ def save_weights(graph: ModelGraph, path) -> None:
         fh.write(blob)
 
 
-def _spec_from_manifest(m: dict) -> ModelSpec:
-    s = m["spec"]
-    return ModelSpec(
-        family=s["family"],
-        num_bins=s["num_bins"],
-        rnn_width=s["rnn_width"],
-        layers=s["layers"],
-        channels=tuple(s["channels"]),
-        rnn_kind=s["rnn_kind"],
-        rnn_layers=s["rnn_layers"],
-        parallel_groups=s["parallel_groups"],
-        skip_kind=s["skip_kind"],
-        kernel=tuple(s["kernel"]),
-    )
-
-
-def _read_manifest(path, manifest):
-    """Build the declared graph and list each layer's ``(name, [(field, shape)])``."""
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: manifest is a JSON {type(manifest).__name__}, not an object")
-    if manifest.get("format") != BUNDLE_FORMAT:
-        raise ValueError(f"{path}: unsupported bundle format {manifest.get('format')!r}")
-    try:
-        graph = build_model(_spec_from_manifest(manifest))
-        declared = [
-            (entry["name"], [(a["field"], tuple(a["shape"])) for a in entry["arrays"]])
-            for entry in manifest["layers"]
-        ]
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from exc
-    return graph, declared
+def _spec_from_manifest(manifest: dict) -> ModelSpec:
+    spec = manifest["spec"]
+    names = {f.name for f in fields(ModelSpec)}
+    if not isinstance(spec, dict) or spec.keys() != names:
+        raise ValueError(f"spec must be an object with exactly the keys {sorted(names)}")
+    return ModelSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in spec.items()})
 
 
 def load_weights(path) -> ModelGraph:
     """Read a weight bundle back into an executable graph.
 
     Raises:
-        ValueError: on bad magic, a malformed manifest or one that disagrees
-            with the graph it declares, a blob whose size does not match the
-            declared parameter count, or a non-finite parameter.
+        ValueError: on bad magic, a malformed manifest or one that differs
+            from the manifest its spec implies, a blob whose size does not
+            match the declared parameter count, or a non-finite parameter.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -530,13 +505,17 @@ def load_weights(path) -> ModelGraph:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: corrupt manifest: {exc}") from exc
     off += mlen
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest is a JSON {type(manifest).__name__}, not an object")
 
-    graph, declared = _read_manifest(path, manifest)
-    built = list(graph.iter_layers())
-    if len(built) != len(declared):
-        raise ValueError(
-            f"{path}: manifest lists {len(declared)} layers, model has {len(built)}"
-        )
+    try:
+        graph = build_model(_spec_from_manifest(manifest))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from exc
+    implied = _manifest(graph)
+    for key in sorted(implied.keys() | manifest.keys()):
+        if manifest.get(key) != implied.get(key):
+            raise ValueError(f"{path}: malformed manifest ({key!r} is not what its spec implies)")
 
     blob = raw[off:]
     expected = graph.param_count() * 4
@@ -545,25 +524,14 @@ def load_weights(path) -> ModelGraph:
             f"{path}: weight blob is {len(blob)} bytes, expected {expected} "
             f"({graph.param_count()} float32 parameters)"
         )
-
+    params = np.frombuffer(blob, dtype="<f4")
+    if not np.isfinite(params).all():
+        raise ValueError(f"{path}: weight blob has non-finite values")
     pos = 0
-    for layer, (name, fields) in zip(built, declared):
-        arrays = layer.param_arrays()
-        if name != layer.name or len(fields) != len(arrays):
-            raise ValueError(f"{path}: manifest layer {name!r} does not match model")
-        for (fname, arr), (decl_field, decl_shape) in zip(arrays, fields):
-            if decl_field != fname or decl_shape != arr.shape:
-                raise ValueError(
-                    f"{path}: layer {layer.name!r} field {fname!r}: manifest shape "
-                    f"{list(decl_shape)} does not match model shape {list(arr.shape)}"
-                )
-            n = arr.size * 4
-            arr[...] = (
-                np.frombuffer(blob[pos : pos + n], dtype="<f4").astype(np.float64).reshape(arr.shape)
-            )
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{path}: layer {layer.name!r} field {fname!r} has non-finite values")
-            pos += n
+    for layer in graph.iter_layers():
+        for _, arr in layer.param_arrays():
+            arr[...] = params[pos : pos + arr.size].reshape(arr.shape)
+            pos += arr.size
     return graph
 
 

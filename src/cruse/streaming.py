@@ -52,8 +52,8 @@ class StreamingEnhancer:
         self._wsq = self.window * self.window
         self.state = StreamState(graph)
         self._input = np.zeros(config.window_len)   # head pad: starts as zeros
-        self._acc = np.zeros(config.window_len)
-        self._env = np.zeros(config.window_len)
+        self._tail = np.zeros(config.hop_len)       # second half of the last frame
+        self._tail_env = np.zeros(config.hop_len)   # and its squared-window envelope
         self._frames = 0
         self._nonfinite_hops = 0
         self._busy_s = 0.0   # summed and worst process_hop wall time
@@ -62,37 +62,32 @@ class StreamingEnhancer:
     def process_hop(self, hop_samples: np.ndarray) -> np.ndarray:
         """Consume exactly one hop of input, emit one hop of enhanced output.
 
-        The first emitted hop corresponds to the causal head padding and is
-        all zeros; callers streaming a whole file drop it (see
+        The first emitted hop reconstructs the causal head padding, not the
+        input; callers streaming a whole file drop it (see
         :func:`enhance_signal`).  NaN or infinite input samples are replaced
         by 0.0 before they reach any state, so one bad hop cannot poison
         the stream; such hops are counted in ``stats().nonfinite_hops``.
         """
         cfg = self.config
+        hop = cfg.hop_len
         hop_samples = np.asarray(hop_samples, dtype=np.float64)
-        if len(hop_samples) != cfg.hop_len:
-            raise ValueError(f"expected {cfg.hop_len} samples, got {len(hop_samples)}")
+        if len(hop_samples) != hop:
+            raise ValueError(f"expected {hop} samples, got {len(hop_samples)}")
         started = time.perf_counter()
 
         finite = np.isfinite(hop_samples)
         if not finite.all():
             hop_samples = np.where(finite, hop_samples, 0.0)
             self._nonfinite_hops += 1
-        self._input[: -cfg.hop_len] = self._input[cfg.hop_len :]
-        self._input[-cfg.hop_len :] = hop_samples
+        self._input[:-hop] = self._input[hop:]
+        self._input[-hop:] = hop_samples
 
         spec = np.fft.rfft(self._input * self.window, n=cfg.fft_len)
         gains = infer_frame(self.graph, self.state, log_power_features(spec))
         frame = np.fft.irfft(spec * gains, n=cfg.fft_len)[: cfg.window_len] * self.window
 
-        self._acc += frame
-        self._env += self._wsq
-        out = self.flush()  # the oldest hop has received all its overlaps
-
-        self._acc[: -cfg.hop_len] = self._acc[cfg.hop_len :]
-        self._acc[-cfg.hop_len :] = 0.0
-        self._env[: -cfg.hop_len] = self._env[cfg.hop_len :]
-        self._env[-cfg.hop_len :] = 0.0
+        out = normalize_overlap_add(self._tail + frame[:hop], self._tail_env + self._wsq[:hop])
+        self._tail, self._tail_env = frame[hop:], self._wsq[hop:]
 
         self._frames += 1
         elapsed = time.perf_counter() - started
@@ -102,8 +97,7 @@ class StreamingEnhancer:
 
     def flush(self) -> np.ndarray:
         """Emit the final partially overlapped hop after the last input hop."""
-        hop = self.config.hop_len
-        return normalize_overlap_add(self._acc[:hop], self._env[:hop])
+        return normalize_overlap_add(self._tail, self._tail_env)
 
     def stats(self) -> EnhanceStats:
         mean_s = self._busy_s / self._frames if self._frames else 0.0

@@ -1,8 +1,8 @@
 """Shared fixtures: synthetic audio assets and a manifest for datagen tests,
 and malformed weight bundles; the hypothesis profile of the property tests."""
 
-import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -102,43 +102,65 @@ def _write_bundle(path, manifest, blob):
     path.write_bytes(BUNDLE_MAGIC + len(text).to_bytes(4, "little") + text + blob)
 
 
-def _wide_kernel_graph():
-    """A CRUSE2-16 graph whose conv and tconv weights have a (2, 5) kernel."""
-    from cruse.models import build_model, cruse_spec
-
-    graph = build_model(cruse_spec(2, 16))
-    graph.spec = dataclasses.replace(graph.spec, kernel=(2, 5))
-    for layer in graph.encoder + graph.decoder:
-        layer.weight = np.zeros(layer.weight.shape[:3] + (5,))
-    return graph
+def _widen_kernel(manifest):
+    """Declare a (2, 5) kernel in the spec and in every conv and tconv weight
+    shape; return a seeded blob of the matching size."""
+    manifest["spec"]["kernel"] = [2, 5]
+    for entry in manifest["layers"]:
+        if entry["kind"] in ("ConvLayer", "TconvLayer"):
+            entry["arrays"][0]["shape"][3] = 5
+    total = sum(math.prod(a["shape"]) for e in manifest["layers"] for a in e["arrays"])
+    manifest["total_params"] = total
+    return np.random.default_rng(1).uniform(-0.1, 0.1, total).astype("<f4").tobytes()
 
 
 @pytest.fixture(
-    params=["no-spec", "no-kernel", "list-manifest", "nan-weight", "inf-weight", "kernel-2x5"]
+    params=[
+        "no-spec", "no-kernel", "extra-spec-key", "list-manifest", "nan-weight", "inf-weight",
+        "kernel-2x5", "skip-kind-adl", "rnn-kind-lstn", "gate-order-zrn", "layer-kind",
+    ]
 )
 def malformed_bundle(request, tmp_path):
     """A weight bundle with one schema or value defect that loading must reject.
 
     ``kernel-2x5`` is self-consistent (its array shapes match the kernel it
-    declares) but names a kernel the layers do not support.
+    declares) but names a kernel the layers do not support.  The unknown skip
+    and RNN kinds, the gate order and the layer kind are one-field edits whose
+    array shapes still match.
     """
-    from cruse.models import build_model, init_test_weights, nsnet2_spec, save_weights
+    from cruse.models import build_model, cruse_spec, init_test_weights, nsnet2_spec, save_weights
 
-    path = tmp_path / f"{request.param}.cwb"
-    if request.param == "kernel-2x5":
-        save_weights(init_test_weights(_wide_kernel_graph(), 1), path)
-        return path
-    save_weights(init_test_weights(build_model(nsnet2_spec(16)), 1), path)
+    defect = request.param
+    if defect in ("kernel-2x5", "skip-kind-adl"):
+        spec = cruse_spec(2, 16)
+    elif defect == "rnn-kind-lstn":
+        spec = cruse_spec(2, 16, rnn_kind="lstm")
+    else:
+        spec = nsnet2_spec(16)
+    path = tmp_path / f"{defect}.cwb"
+    save_weights(init_test_weights(build_model(spec), 1), path)
     manifest, blob = _bundle_parts(path)
-    if request.param == "no-spec":
+    if defect == "no-spec":
         del manifest["spec"]
-    elif request.param == "no-kernel":
+    elif defect == "no-kernel":
         del manifest["spec"]["kernel"]
-    elif request.param == "list-manifest":
+    elif defect == "extra-spec-key":
+        manifest["spec"]["extra"] = 0
+    elif defect == "list-manifest":
         manifest = [manifest]
+    elif defect == "kernel-2x5":
+        blob = _widen_kernel(manifest)
+    elif defect == "skip-kind-adl":
+        manifest["spec"]["skip_kind"] = "adl"
+    elif defect == "rnn-kind-lstn":
+        manifest["spec"]["rnn_kind"] = "lstn"
+    elif defect == "gate-order-zrn":
+        manifest["conventions"]["gru_gate_order"] = "z,r,n"
+    elif defect == "layer-kind":
+        manifest["layers"][0]["kind"] = "DenseLayer"
     else:
         params = np.frombuffer(blob, dtype="<f4").copy()
-        params[10] = np.nan if request.param == "nan-weight" else np.inf
+        params[10] = np.nan if defect == "nan-weight" else np.inf
         blob = params.tobytes()
     _write_bundle(path, manifest, blob)
     return path

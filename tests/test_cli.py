@@ -198,6 +198,17 @@ def test_datagen_missing_manifest(tmp_path, capsys):
     assert "nope.csv" in err
 
 
+def test_datagen_manifest_without_kind_column(tmp_path, capsys):
+    manifest = tmp_path / "no_kind.csv"
+    manifest.write_text("path,t60,c50\nspeech_dry1.wav,0.12,22.0\n")
+    code, _, err = run(
+        capsys, "datagen", "--manifest", str(manifest), "--count", "1",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 1
+    assert err.startswith("error:") and "no kind column" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -253,6 +264,16 @@ def test_evaluate_orphans_error(eval_dirs, capsys):
     code, _, err = run(capsys, "evaluate", "--enhanced", str(enh), "--reference", str(ref))
     assert code == 1
     assert "extra.wav" in err
+
+
+def test_evaluate_scores_without_pesq_column(eval_dirs, tmp_path, capsys):
+    enh, ref = eval_dirs
+    scores = tmp_path / "scores.csv"
+    scores.write_text("id,dnsmos\nutt1,3.0\n")
+    code, _, err = run(capsys, "evaluate", "--enhanced", str(enh), "--reference", str(ref),
+                       "--scores", str(scores))
+    assert code == 1
+    assert err.startswith("error:") and "no pesq column" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cruse.datagen import (
+    AssetStore,
     MixtureRecipe,
     active_rms,
     assemble_clip,
@@ -355,3 +356,20 @@ def test_generate_pair_missing_asset(asset_store):
     recipe = MixtureRecipe(("nope.wav",), ("noise_white.wav",), None, 5.0, -28.0, 2.0, 7)
     with pytest.raises(ValueError, match="unknown asset"):
         generate_pair(recipe, asset_store)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("kind,t60,c50\nspeech\n", "no path column"),
+        ("path,t60,c50\nspeech_dry1.wav,,\n", "no kind column"),
+        ("", "no kind or path column"),
+        ("path,kind\nspeech_dry1.wav\n", "unknown asset kind ''"),
+    ],
+    ids=["no-path", "no-kind", "empty", "short-row"],
+)
+def test_manifest_without_a_column_or_value_errors(tmp_path, text, message):
+    path = tmp_path / "manifest.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        AssetStore.from_manifest(path)

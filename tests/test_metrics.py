@@ -267,3 +267,19 @@ def test_read_scores_file(tmp_path):
     scores = read_scores_file(path)
     assert scores["utt1"] == {"pesq": 2.5, "dnsmos": 3.1}
     assert scores["utt2"] == {"pesq": 1.9}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("name,pesq\nutt1,2.5\n", "no id column"),
+        ("id,dnsmos\nutt1,3.1\n", "no pesq column"),
+        ("id,pesq\nutt1\n", "could not convert"),
+    ],
+    ids=["no-id", "no-pesq", "short-row"],
+)
+def test_read_scores_file_without_a_column_or_value_errors(tmp_path, text, message):
+    path = tmp_path / "scores.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_scores_file(path)

@@ -107,9 +107,34 @@ def test_cruse_indivisible_groups_error():
 def test_unsupported_kernel_errors_in_spec_and_build():
     with pytest.raises(ValueError, match="unsupported kernel"):
         cruse_spec(kernel=(2, 5))
-    spec = dataclasses.replace(cruse_spec(layers=2, last_channels=16), kernel=(2, 5))
     with pytest.raises(ValueError, match="unsupported kernel"):
-        build_model(spec)
+        dataclasses.replace(cruse_spec(layers=2, last_channels=16), kernel=(2, 5))
+
+
+@pytest.mark.parametrize(
+    "family, field, value",
+    [
+        ("cruse", "family", "crusE"),
+        ("cruse", "num_bins", 0),
+        ("cruse", "layers", 0),
+        ("cruse", "channels", (16,)),
+        ("cruse", "channels", (16, 0)),
+        ("cruse", "rnn_kind", "lstn"),
+        ("cruse", "skip_kind", "adl"),
+        ("cruse", "rnn_layers", 0),
+        ("cruse", "parallel_groups", 0),
+        ("cruse", "parallel_groups", 3),
+        ("cruse", "rnn_width", 16),
+        ("nsnet2", "rnn_width", 0),
+        ("nsnet2", "rnn_kind", "lstm"),
+        ("nsnet2", "parallel_groups", 2),
+        ("nsnet2", "channels", (16,)),
+    ],
+)
+def test_spec_checks_itself_however_it_is_made(family, field, value):
+    valid = cruse_spec(layers=2, last_channels=16) if family == "cruse" else nsnet2_spec(16)
+    with pytest.raises(ValueError):
+        dataclasses.replace(valid, **{field: value})
 
 
 def test_cruse_decoder_mirrors_encoder():

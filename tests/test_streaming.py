@@ -58,7 +58,7 @@ def test_process_hop_validates_length():
 
 
 def test_stats_use_the_configured_hop():
-    cfg = StftConfig(window_len=640, hop_len=320, fft_len=640)  # 20 ms hop, 321 bins
+    cfg = StftConfig(window_len=640, fft_len=640)  # 20 ms hop, 321 bins
     graph = init_test_weights(build_model(nsnet2_spec(16, num_bins=321)), 24)
     x = 0.1 * np.random.default_rng(2).standard_normal(3200)
     _, stats = enhance_signal(graph, x, cfg)

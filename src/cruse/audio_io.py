@@ -7,6 +7,9 @@ counted.
 
 from __future__ import annotations
 
+import io
+import struct
+
 import numpy as np
 from scipy.io import wavfile
 
@@ -20,9 +23,24 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         ``(samples, sample_rate)`` with samples as float64 in [-1, 1).
 
     Raises:
-        ValueError: for multi-channel files or unsupported sample formats.
+        ValueError: naming the path, for a file that is not a readable WAV
+            file, one shorter than its RIFF header or its data chunk header
+            declares (truncated), multi-channel audio, or an unsupported
+            sample format.
     """
-    rate, data = wavfile.read(path)
+    with open(path, "rb") as fh:
+        head, size = fh.read(8), fh.seek(0, io.SEEK_END)
+    declared = 8 + int.from_bytes(head[4:], "little")
+    if head[:4] == b"RIFF" and size < declared:
+        raise ValueError(f"{path}: truncated WAV file ({size} of {declared} bytes)")
+    # Memory-mapped, so that a data chunk cut short raises instead of reading
+    # short.  The exceptions are those scipy raises on malformed headers, and
+    # its warnings when warnings are errors.
+    try:
+        rate, data = wavfile.read(path, mmap=True)
+    except (ValueError, TypeError, ArithmeticError, UnboundLocalError, struct.error,
+            wavfile.WavFileWarning) as exc:
+        raise ValueError(f"{path}: not a readable WAV file ({exc})") from exc
     if data.ndim != 1:
         raise ValueError(f"{path}: expected mono audio, got {data.ndim} channels")
     if data.dtype == np.int16:

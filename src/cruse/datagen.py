@@ -237,6 +237,20 @@ def scale_pair_to_level(mixture: np.ndarray, target: np.ndarray, level_dbfs: flo
 # Asset store
 
 
+def _csv_float(path, reader: csv.DictReader, row: dict, column: str) -> float:
+    # one value of a delimited file, which must be a finite float
+    try:
+        value = float(row[column])
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(
+            f"{path}: line {reader.line_num}, column {column!r}: "
+            f"could not convert {row[column]!r} to a finite float"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class AssetEntry:
     asset_id: str
@@ -280,8 +294,8 @@ class AssetStore:
                 kind = row["kind"].strip()
                 if kind not in ("speech", "noise", "rir"):
                     raise ValueError(f"{manifest_path}: unknown asset kind {kind!r}")
-                t60 = float(row["t60"]) if row.get("t60") else None
-                c50 = float(row["c50"]) if row.get("c50") else None
+                t60 = _csv_float(manifest_path, reader, row, "t60") if row.get("t60") else None
+                c50 = _csv_float(manifest_path, reader, row, "c50") if row.get("c50") else None
                 rel = row["path"].strip()
                 entries.append(AssetEntry(rel, base / rel, kind, t60, c50))
         return cls(entries, sample_rate)

@@ -131,7 +131,7 @@ def lstm_step(weights: RnnWeights, x: np.ndarray, h: np.ndarray, c: np.ndarray):
     return (ys if x.ndim == 2 else ys[0]), h, c
 
 
-def conv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state=None):
+def conv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state):
     """Causal 2-D convolution evaluated at one frame or a block of frames.
 
     Time taps cover the stored previous frame(s) plus the current one; the
@@ -144,7 +144,7 @@ def conv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state=N
             and kernel_f at most 3, the padded width.
         bias: ``(c_out,)``.
         x_now: one input frame ``(c_in, freq)`` or a block ``(T, c_in, freq)``.
-        state: ``(kernel_t - 1, c_in, freq)`` history, or None at stream start.
+        state: ``(kernel_t - 1, c_in, freq)`` history; ``ConvLayer.zero_state()`` at start.
 
     Returns:
         ``(out, new_state)`` where out is ``(c_out, freq_out)`` for one frame
@@ -162,8 +162,7 @@ def conv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state=N
         raise ValueError(f"expected input of ({c_in}, F) or (T, {c_in}, F), got {x_now.shape}")
     t_len, _, freq = frames.shape
     padded = np.zeros((kt - 1 + t_len, c_in, freq + 2))
-    if state is not None:
-        padded[: kt - 1, :, 1:-1] = state
+    padded[: kt - 1, :, 1:-1] = state
     padded[kt - 1 :, :, 1:-1] = frames
     f_out = (freq - 1) // 2 + 1
     # every strided patch, as columns (c_in, kt, kf) x (T, f_out); the
@@ -189,7 +188,8 @@ def tconv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state,
 
     The time kernel of 2 is realized causally: each emitted frame adds the
     second time tap of the previous input frame, and the second tap of the
-    last input frame is returned as the state.  All taps of a block are one
+    last input frame is returned as the state.  A time kernel of 1 has no
+    such tap and returns the state unchanged.  All taps of a block are one
     matmul.
 
     Args:
@@ -198,7 +198,7 @@ def tconv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state,
             stored as that matrix (``build_model`` does), a copy of others.
         bias: ``(c_out,)``.
         x_now: one input frame ``(c_in, freq)`` or a block ``(T, c_in, freq)``.
-        state: pending ``(c_out, f_target)`` contribution, or None at start.
+        state: pending ``(c_out, f_target)`` contribution; ``TconvLayer.zero_state()`` at start.
         f_target: output frequency width (the mirrored encoder layer's input).
 
     Returns:
@@ -231,14 +231,12 @@ def tconv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state,
             bins += cols[:, :, k]
     up = up[..., left : left + f_target]
     out = up[:, 0] + bias[:, None, None]
-    new_state = None
     if kt == 2:
-        if state is not None:
-            out[:, 0] += state
+        out[:, 0] += state
         out[:, 1:] += up[:, 1, :-1]
-        new_state = up[:, 1, -1].copy()  # not a view that keeps the block alive
+        state = up[:, 1, -1].copy()  # not a view that keeps the block alive
     out = out.transpose(1, 0, 2)
-    return (out if x_now.ndim == 3 else out[0]), new_state
+    return (out if x_now.ndim == 3 else out[0]), state
 
 
 def activation_apply(kind: str, x: np.ndarray) -> np.ndarray:

@@ -11,18 +11,13 @@ of the default :class:`StftConfig` (10 ms, 100 frames/s).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .dsp import StftConfig
 from .layers import GRU_GATES, LSTM_GATES
-from .models import (
-    ConvLayer,
-    FcLayer,
-    ModelGraph,
-    RnnLayer,
-    SkipLayer,
-    TconvLayer,
-    format_model_name,
-)
+
+if TYPE_CHECKING:
+    from .models import ModelGraph
 
 @dataclass(frozen=True)
 class LayerMacs:
@@ -94,31 +89,18 @@ def macs_skip_conv1x1(channels: int, freq: int) -> int:
 
 
 def macs_model(graph: ModelGraph, name: str | None = None) -> MacReport:
-    """Per-layer and total MAC counts for one model instance."""
-    rows = []
-    for layer in graph.iter_layers():
-        if isinstance(layer, FcLayer):
-            out_dims, in_dims = layer.weight.shape
-            m = macs_fc(in_dims, out_dims)
-        elif isinstance(layer, RnnLayer):
-            fn = macs_gru if layer.kind == "gru" else macs_lstm
-            m = sum(fn(cell.in_dims, cell.width) for stack in layer.groups for cell in stack)
-        elif isinstance(layer, ConvLayer):
-            c_out, c_in, kt, kf = layer.weight.shape
-            m = macs_conv2d((kt, kf), c_in, c_out, layer.out_freq)
-        elif isinstance(layer, TconvLayer):
-            c_out, c_in, kt, kf = layer.weight.shape
-            m = macs_tconv2d((kt, kf), c_in, c_out, layer.in_freq, layer.f_target)
-        elif isinstance(layer, SkipLayer):
-            if layer.kind != "add_conv1x1":
-                continue  # plain add/concat skips apply no weights
-            m = macs_skip_conv1x1(layer.scale.size, layer.freq)
-        else:
-            raise TypeError(f"unknown layer type {type(layer).__name__}")
-        rows.append(LayerMacs(layer.name, type(layer).__name__, int(m)))
+    """Per-layer and total MAC counts for one model instance.
 
+    Each row is one layer's ``macs()``; a plain add or concat skip counts
+    none and has no row.
+    """
+    from .models import format_model_name  # models imports the formulas above
+
+    rows = [
+        LayerMacs(layer.name, type(layer).__name__, layer.macs()) for layer in graph.iter_layers()
+    ]
     return MacReport(
         model=name or format_model_name(graph.spec),
-        layers=tuple(rows),
+        layers=tuple(row for row in rows if row.macs),
         params=graph.param_count(),
     )

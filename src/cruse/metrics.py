@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import ACTIVITY_RANGE_DB, active_rms
+from .datagen import ACTIVITY_RANGE_DB, _csv_float, active_rms
 from .dsp import DEFAULT_LOG_FLOOR, StftConfig, istft, stft
 
 SISDR_CAP_DB = 100.0
@@ -173,7 +173,12 @@ def validation_q(scores: ScoreSet) -> float:
 
 
 def read_scores_file(path) -> dict[str, dict[str, float]]:
-    """Read externally supplied scores: delimited columns id, pesq[, dnsmos]."""
+    """Read externally supplied scores: delimited columns id, pesq[, dnsmos].
+
+    Raises:
+        ValueError: naming the file, line and column of a score that is not
+            a finite float, or a missing id or pesq column.
+    """
     out: dict[str, dict[str, float]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh, restval="")
@@ -181,8 +186,8 @@ def read_scores_file(path) -> dict[str, dict[str, float]]:
         if missing:
             raise ValueError(f"{path}: no {' or '.join(sorted(missing))} column")
         for row in reader:
-            rec = {"pesq": float(row["pesq"])}
+            rec = {"pesq": _csv_float(path, reader, row, "pesq")}
             if row.get("dnsmos"):
-                rec["dnsmos"] = float(row["dnsmos"])
+                rec["dnsmos"] = _csv_float(path, reader, row, "dnsmos")
             out[row["id"].strip()] = rec
     return out

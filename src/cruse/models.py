@@ -32,6 +32,7 @@ from .layers import (
     tconv2d_step,
     zero_rnn_weights,
 )
+from .macs import macs_conv2d, macs_fc, macs_gru, macs_lstm, macs_skip_conv1x1, macs_tconv2d
 
 DEFAULT_NUM_BINS = 161
 FIRST_CHANNELS = 16
@@ -204,6 +205,10 @@ class FcLayer:
     def param_arrays(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
+    def macs(self) -> int:
+        out_dims, in_dims = self.weight.shape
+        return macs_fc(in_dims, out_dims)
+
 
 @dataclass
 class RnnLayer:
@@ -230,10 +235,14 @@ class RnnLayer:
     def width(self) -> int:
         return sum(stack[0].width for stack in self.groups)
 
-    @property
-    def carried(self) -> int:
-        """State vectors per cell: ``[h]`` for a GRU, ``[h, c]`` for an LSTM."""
-        return 1 if self.kind == "gru" else 2
+    def macs(self) -> int:
+        fn = macs_gru if self.kind == "gru" else macs_lstm
+        return sum(fn(cell.in_dims, cell.width) for stack in self.groups for cell in stack)
+
+    def zero_state(self) -> list:
+        """Per group and cell, the vectors it carries: ``[h]`` (GRU) or ``[h, c]`` (LSTM)."""
+        n = 1 if self.kind == "gru" else 2
+        return [[[np.zeros(c.width) for _ in range(n)] for c in stack] for stack in self.groups]
 
 
 @dataclass
@@ -248,6 +257,15 @@ class ConvLayer:
     def param_arrays(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
+    def macs(self) -> int:
+        c_out, c_in, kt, kf = self.weight.shape
+        return macs_conv2d((kt, kf), c_in, c_out, self.out_freq)
+
+    def zero_state(self) -> np.ndarray:
+        """Zeros for the ``kernel_t - 1`` input frames before the first."""
+        _, c_in, kt, _ = self.weight.shape
+        return np.zeros((kt - 1, c_in, self.in_freq))
+
 
 @dataclass
 class TconvLayer:
@@ -260,6 +278,14 @@ class TconvLayer:
 
     def param_arrays(self):
         return [("weight", self.weight), ("bias", self.bias)]
+
+    def macs(self) -> int:
+        c_out, c_in, kt, kf = self.weight.shape
+        return macs_tconv2d((kt, kf), c_in, c_out, self.in_freq, self.f_target)
+
+    def zero_state(self) -> np.ndarray:
+        """Zeros: no frame before the first leaves a pending contribution."""
+        return np.zeros((len(self.bias), self.f_target))
 
 
 @dataclass
@@ -274,6 +300,9 @@ class SkipLayer:
         if self.kind != "add_conv1x1":
             return []
         return [("scale", self.scale), ("bias", self.bias)]
+
+    def macs(self) -> int:
+        return macs_skip_conv1x1(self.scale.size, self.freq) if self.kind == "add_conv1x1" else 0
 
 
 @dataclass
@@ -540,21 +569,14 @@ def load_weights(path) -> ModelGraph:
 
 
 class StreamState:
-    """Per-stream recurrent and convolutional carryover; zeros at start.
+    """Per-stream carryover of each stateful layer, from its ``zero_state()``.
 
     One instance per audio stream; never share between concurrent streams.
     """
 
     def __init__(self, graph: ModelGraph):
-        self.layer_states = {}
-        for layer in graph.iter_layers():
-            if isinstance(layer, RnnLayer):
-                self.layer_states[layer.name] = [
-                    [[np.zeros(cell.width) for _ in range(layer.carried)] for cell in stack]
-                    for stack in layer.groups
-                ]
-            elif isinstance(layer, (ConvLayer, TconvLayer)):
-                self.layer_states[layer.name] = None  # lazily zero-initialized
+        stateful = (layer for layer in graph.iter_layers() if hasattr(layer, "zero_state"))
+        self.layer_states = {layer.name: layer.zero_state() for layer in stateful}
 
 
 def rnn_block_step(layer: RnnLayer, x: np.ndarray, states) -> np.ndarray:

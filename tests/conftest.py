@@ -1,5 +1,6 @@
 """Shared fixtures: synthetic audio assets and a manifest for datagen tests,
-and malformed weight bundles; the hypothesis profile of the property tests."""
+malformed weight bundles and truncated WAV files; the hypothesis profile of
+the property tests."""
 
 import json
 import math
@@ -164,3 +165,28 @@ def malformed_bundle(request, tmp_path):
         blob = params.tobytes()
     _write_bundle(path, manifest, blob)
     return path
+
+
+@pytest.fixture(
+    params=[f"{fmt}-{part}" for fmt in ("pcm16", "float32") for part in ("header", "fmt", "data")]
+)
+def truncated_wavs(request, tmp_path):
+    """Seeded cuts of a 1 s WAV file inside one part: the RIFF header, the fmt
+    chunk (with the fact chunk of a float32 file), or the data chunk.
+
+    The data cuts include the one that keeps half of the samples.
+    """
+    fmt, part = request.param.split("-")
+    rng = np.random.default_rng(5)
+    full = tmp_path / "full.wav"
+    write_wav(full, 0.1 * rng.standard_normal(SR), SR, fmt=fmt)
+    raw = full.read_bytes()
+    starts = {"header": 0, "fmt": raw.index(b"fmt "), "data": raw.index(b"data")}
+    ends = {"header": starts["fmt"], "fmt": starts["data"], "data": len(raw)}
+    lo, hi = starts[part], ends[part]
+    cuts = sorted({(lo + 8 + hi) // 2 if part == "data" else lo, *rng.integers(lo, hi, 6)})
+    paths = []
+    for cut in cuts:
+        paths.append(tmp_path / f"{fmt}-{part}-{cut}.wav")
+        paths[-1].write_bytes(raw[:cut])
+    return paths

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -53,6 +55,41 @@ def test_rejects_unsupported_dtype(tmp_path):
     wavfile.write(path, 16000, np.zeros(100, dtype=np.int32))
     with pytest.raises(ValueError, match="format"):
         read_wav(path)
+
+
+def test_truncated_wav_raises_naming_the_path(truncated_wavs):
+    for path in truncated_wavs:
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_wav(path)
+
+
+def test_data_chunk_declaring_more_samples_than_the_file_holds_raises(tmp_path):
+    # a consistent RIFF size, but a data chunk header 40 bytes too long
+    path = tmp_path / "x.wav"
+    write_wav(path, np.full(100, 0.5), 16000)
+    raw = bytearray(path.read_bytes())
+    at = raw.index(b"data") + 4
+    raw[at : at + 4] = (int.from_bytes(raw[at : at + 4], "little") + 40).to_bytes(4, "little")
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_wav(path)
+
+
+@pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+def test_header_bit_flips_raise_only_value_errors(tmp_path, fmt):
+    rng = np.random.default_rng(8)
+    path = tmp_path / "x.wav"
+    write_wav(path, 0.1 * rng.standard_normal(1600), 16000, fmt=fmt)
+    raw = path.read_bytes()
+    header = raw.index(b"data") + 8
+    for _ in range(300):
+        flipped = bytearray(raw)
+        flipped[rng.integers(header)] ^= 1 << int(rng.integers(8))
+        path.write_bytes(flipped)
+        try:
+            read_wav(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
 
 
 def test_write_rejects_unknown_format(tmp_path):

@@ -99,6 +99,15 @@ def test_enhance_rejects_input_shorter_than_one_hop(tmp_path, capsys):
     assert not dst.exists()
 
 
+def test_enhance_rejects_truncated_wav(tmp_path, capsys, truncated_wavs):
+    dst = tmp_path / "out.wav"
+    for src in truncated_wavs:
+        code, _, err = run(capsys, "enhance", str(src), str(dst), "--model", "NSnet2-16")
+        assert code == 1
+        assert err.startswith("error:") and str(src) in err and "Traceback" not in err
+        assert not dst.exists()
+
+
 def test_enhance_rejects_wrong_sample_rate(tmp_path, capsys):
     src = tmp_path / "in8k.wav"
     write_wav(src, np.zeros(8000), 8000)
@@ -209,6 +218,18 @@ def test_datagen_manifest_without_kind_column(tmp_path, capsys):
     assert err.startswith("error:") and "no kind column" in err and "Traceback" not in err
 
 
+def test_datagen_manifest_with_a_non_finite_t60(tmp_path, capsys):
+    manifest = tmp_path / "inf_t60.csv"
+    manifest.write_text("path,kind,t60,c50\nrir1.wav,rir,inf,3.0\n")
+    code, _, err = run(
+        capsys, "datagen", "--manifest", str(manifest), "--count", "1",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"{manifest}: line 2, column 't60'" in err
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -274,6 +295,18 @@ def test_evaluate_scores_without_pesq_column(eval_dirs, tmp_path, capsys):
                        "--scores", str(scores))
     assert code == 1
     assert err.startswith("error:") and "no pesq column" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "nan"])
+def test_evaluate_scores_value_that_is_not_a_finite_float(eval_dirs, tmp_path, capsys, value):
+    enh, ref = eval_dirs
+    scores = tmp_path / "scores.csv"
+    scores.write_text(f"id,pesq\nutt1,2.0\nutt2,{value}\n")
+    code, _, err = run(capsys, "evaluate", "--enhanced", str(enh), "--reference", str(ref),
+                       "--scores", str(scores))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"{scores}: line 3, column 'pesq'" in err
 
 
 # ---------------------------------------------------------------------------

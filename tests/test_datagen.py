@@ -365,8 +365,13 @@ def test_generate_pair_missing_asset(asset_store):
         ("path,t60,c50\nspeech_dry1.wav,,\n", "no kind column"),
         ("", "no kind or path column"),
         ("path,kind\nspeech_dry1.wav\n", "unknown asset kind ''"),
+        ("path,kind,t60,c50\nspeech_dry1.wav,speech,abc,22.0\n",
+         r"manifest\.csv: line 2, column 't60'"),
+        ("path,kind,t60,c50\nnoise_white.wav,noise,,\nrir1.wav,rir,0.4,nan\n",
+         r"manifest\.csv: line 3, column 'c50'"),
+        ("path,kind,t60,c50\nrir1.wav,rir,inf,3.0\n", r"manifest\.csv: line 2, column 't60'"),
     ],
-    ids=["no-path", "no-kind", "empty", "short-row"],
+    ids=["no-path", "no-kind", "empty", "short-row", "abc", "nan", "inf"],
 )
 def test_manifest_without_a_column_or_value_errors(tmp_path, text, message):
     path = tmp_path / "manifest.csv"

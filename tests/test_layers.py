@@ -262,7 +262,7 @@ def test_recurrent_block_rejects_wrong_rank():
 
 def test_conv_zero_kernel_bias_only():
     w = np.zeros((3, 2, 2, 3))
-    out, _ = conv2d_step(w, np.ones(3), np.zeros((2, 8)))
+    out, _ = conv2d_step(w, np.ones(3), np.zeros((2, 8)), np.zeros((1, 2, 8)))
     assert out.shape == (3, 4)
     np.testing.assert_array_equal(out, np.ones((3, 4)))
 
@@ -271,14 +271,16 @@ def test_conv_delta_kernel_copies_strided_input():
     w = np.zeros((1, 1, 2, 3))
     w[0, 0, 1, 1] = 1.0  # current frame, center tap
     x = np.arange(8.0)[None, :]
-    out, _ = conv2d_step(w, np.zeros(1), x)
+    out, _ = conv2d_step(w, np.zeros(1), x, np.zeros((1, 1, 8)))
     np.testing.assert_array_equal(out[0], x[0, ::2])
 
 
 @pytest.mark.parametrize("freq", [7, 8])
 def test_conv_rejects_frequency_kernel_wider_than_padding(freq):
     with pytest.raises(ValueError, match="frequency kernel 5"):
-        conv2d_step(np.zeros((1, 1, 2, 5)), np.zeros(1), np.zeros((4, 1, freq)))
+        conv2d_step(
+            np.zeros((1, 1, 2, 5)), np.zeros(1), np.zeros((4, 1, freq)), np.zeros((1, 1, freq))
+        )
 
 
 def test_conv_streaming_matches_batch_oracle():
@@ -287,7 +289,7 @@ def test_conv_streaming_matches_batch_oracle():
     b = rng.standard_normal(2)
     frames = rng.standard_normal((6, 1, 8))
     expected = conv_batch_oracle(w, b, frames)
-    state = None
+    state = np.zeros((1, 1, 8))
     for t in range(6):
         out, state = conv2d_step(w, b, frames[t], state)
         np.testing.assert_allclose(out, expected[t], atol=1e-12)
@@ -298,7 +300,7 @@ def test_conv_first_frame_equals_zero_padded_batch():
     w = rng.standard_normal((3, 2, 2, 3))
     b = rng.standard_normal(3)
     x = rng.standard_normal((2, 9))
-    out, _ = conv2d_step(w, b, x, None)
+    out, _ = conv2d_step(w, b, x, np.zeros((1, 2, 9)))
     np.testing.assert_allclose(out, conv_batch_oracle(w, b, x[None])[0], atol=1e-12)
 
 
@@ -308,7 +310,7 @@ def test_conv_1d_kernel_needs_no_state():
     b = rng.standard_normal(2)
     frames = rng.standard_normal((3, 1, 8))
     expected = conv_batch_oracle(w, b, frames)
-    state = None
+    state = np.zeros((0, 1, 8))
     for t in range(3):
         out, state = conv2d_step(w, b, frames[t], state)
         np.testing.assert_allclose(out, expected[t], atol=1e-12)
@@ -321,21 +323,21 @@ def test_conv_blocks_match_batch_oracle(kt):
     b = rng.standard_normal(3)
     frames = rng.standard_normal((7, 2, 9))
     expected = conv_batch_oracle(w, b, frames)
-    whole, _ = conv2d_step(w, b, frames)
+    whole, _ = conv2d_step(w, b, frames, np.zeros((kt - 1, 2, 9)))
     np.testing.assert_allclose(whole, expected, atol=1e-12)
-    head, state = conv2d_step(w, b, frames[:4])
+    head, state = conv2d_step(w, b, frames[:4], np.zeros((kt - 1, 2, 9)))
     tail, _ = conv2d_step(w, b, frames[4:], state)
     np.testing.assert_allclose(np.concatenate([head, tail]), expected, atol=1e-12)
 
 
 def test_conv_channel_mismatch():
     with pytest.raises(ValueError):
-        conv2d_step(np.zeros((2, 3, 2, 3)), np.zeros(2), np.zeros((1, 8)))
+        conv2d_step(np.zeros((2, 3, 2, 3)), np.zeros(2), np.zeros((1, 8)), np.zeros((1, 3, 8)))
 
 
 def test_tconv_zero_kernel_constant_output():
     w = np.zeros((2, 3, 2, 3))
-    out, state = tconv2d_step(w, np.array([1.5, -0.5]), np.zeros((3, 11)), None, 21)
+    out, state = tconv2d_step(w, np.array([1.5, -0.5]), np.zeros((3, 11)), np.zeros((2, 21)), 21)
     assert out.shape == (2, 21)
     np.testing.assert_array_equal(out[0], np.full(21, 1.5))
     np.testing.assert_array_equal(out[1], np.full(21, -0.5))
@@ -348,7 +350,7 @@ def test_tconv_streaming_matches_batch_oracle():
     b = rng.standard_normal(1)
     frames = rng.standard_normal((5, 2, 6))
     expected = tconv_batch_oracle(w, b, frames, 11)
-    state = None
+    state = np.zeros((1, 11))
     for t in range(5):
         out, state = tconv2d_step(w, b, frames[t], state, 11)
         np.testing.assert_allclose(out, expected[t], atol=1e-12)
@@ -361,9 +363,9 @@ def test_tconv_blocks_match_batch_oracle(kt):
     b = rng.standard_normal(2)
     frames = rng.standard_normal((7, 3, 6))
     expected = tconv_batch_oracle(w, b, frames, 11)
-    whole, _ = tconv2d_step(w, b, frames, None, 11)
+    whole, _ = tconv2d_step(w, b, frames, np.zeros((2, 11)), 11)
     np.testing.assert_allclose(whole, expected, atol=1e-12)
-    head, state = tconv2d_step(w, b, frames[:4], None, 11)
+    head, state = tconv2d_step(w, b, frames[:4], np.zeros((2, 11)), 11)
     tail, _ = tconv2d_step(w, b, frames[4:], state, 11)
     np.testing.assert_allclose(np.concatenate([head, tail]), expected, atol=1e-12)
 
@@ -371,7 +373,10 @@ def test_tconv_blocks_match_batch_oracle(kt):
 def test_tconv_upsampling_shapes():
     # decoder chain mirror: 11 -> 21 -> 41 -> 81 -> 161
     for f_in, f_target in [(11, 21), (21, 41), (41, 81), (81, 161)]:
-        out, _ = tconv2d_step(np.zeros((1, 1, 2, 3)), np.zeros(1), np.zeros((1, f_in)), None, f_target)
+        out, _ = tconv2d_step(
+            np.zeros((1, 1, 2, 3)), np.zeros(1), np.zeros((1, f_in)),
+            np.zeros((1, f_target)), f_target,
+        )
         assert out.shape == (1, f_target)
 
 
@@ -379,7 +384,7 @@ def test_tconv_invalid_target_width():
     w = np.zeros((1, 1, 2, 3))
     for bad in (24, 18):
         with pytest.raises(ValueError):
-            tconv2d_step(w, np.zeros(1), np.zeros((1, 11)), None, bad)
+            tconv2d_step(w, np.zeros(1), np.zeros((1, 11)), np.zeros((1, bad)), bad)
 
 
 # ---------------------------------------------------------------------------

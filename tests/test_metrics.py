@@ -275,8 +275,12 @@ def test_read_scores_file(tmp_path):
         ("name,pesq\nutt1,2.5\n", "no id column"),
         ("id,dnsmos\nutt1,3.1\n", "no pesq column"),
         ("id,pesq\nutt1\n", "could not convert"),
+        ("id,pesq\nutt1,2.5\nutt2,abc\n", r"scores\.csv: line 3, column 'pesq'"),
+        ("id,pesq\nutt1,nan\n", r"scores\.csv: line 2, column 'pesq'"),
+        ("id,pesq,dnsmos\nutt1,2.5,inf\n", r"scores\.csv: line 2, column 'dnsmos'"),
+        ("id,pesq\nutt1,-1e999\n", r"scores\.csv: line 2, column 'pesq'"),
     ],
-    ids=["no-id", "no-pesq", "short-row"],
+    ids=["no-id", "no-pesq", "short-row", "abc", "nan", "inf-dnsmos", "overflow"],
 )
 def test_read_scores_file_without_a_column_or_value_errors(tmp_path, text, message):
     path = tmp_path / "scores.csv"

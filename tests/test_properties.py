@@ -1,7 +1,8 @@
 """Property tests of block-wise inference and MAC accounting over random architectures.
 
 ``infer_utterance`` runs blocks of ``BLOCK_FRAMES`` frames, so utterances of
-up to 150 frames cross one or two block boundaries.  The examples come from
+up to 150 frames cross one or two block boundaries.  Every block leaves each
+layer's state with the shapes and dtypes of that layer's ``zero_state()``.  The examples come from
 the derandomized profile registered in ``conftest.py``.
 """
 
@@ -55,12 +56,25 @@ def _case(spec, seed, frames):
     return graph, 3.0 * rng.standard_normal((frames, spec.num_bins)), rng
 
 
+def _arrays(state):
+    # the arrays of one layer's state, in order: an array, or nested lists of them
+    if isinstance(state, np.ndarray):
+        return [(state.shape, state.dtype)]
+    return [leaf for part in state for leaf in _arrays(part)]
+
+
 @settings(max_examples=25)
 @given(SPECS, st.integers(0, 2**32 - 1), st.integers(0, 150))
 def test_utterance_equals_frame_loop(spec, seed, frames):
     graph, feats, _ = _case(spec, seed, frames)
     state = StreamState(graph)
-    looped = np.array([infer_frame(graph, state, f) for f in feats]).reshape(feats.shape)
+    layers = {layer.name: layer for layer in graph.iter_layers()}
+    looped = []
+    for f in feats:
+        looped.append(infer_frame(graph, state, f))
+        for name, carried in state.layer_states.items():
+            assert _arrays(carried) == _arrays(layers[name].zero_state()), name
+    looped = np.array(looped).reshape(feats.shape)
     np.testing.assert_allclose(infer_utterance(graph, feats), looped, rtol=0, atol=1e-12)
 
 

@@ -284,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enhance", help="denoise a 16 kHz mono WAV file frame by frame")
+    p = sub.add_parser(
+        "enhance", help="denoise a 16 kHz mono WAV file, streaming it 64 hops per call"
+    )
     p.add_argument("input", help="input WAV (16 kHz mono, PCM16 or float32)")
     p.add_argument("output", help="output WAV path")
     p.add_argument("--model", default=DEFAULT_MODEL, help=f"model name (default {DEFAULT_MODEL})")

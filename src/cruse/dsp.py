@@ -10,9 +10,9 @@ algorithmic delay of an analysis/synthesis round trip equals one window length
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_LOG_FLOOR = 1e-12
 
@@ -53,6 +53,21 @@ class StftConfig:
     def head_pad(self) -> int:
         """Zeros prepended to the signal so the first frame is causal-aligned."""
         return self.window_len - self.hop_len
+
+    @cached_property
+    def window(self) -> np.ndarray:
+        """The analysis and synthesis window, :func:`make_window`; made once
+        per config and read-only."""
+        window = make_window(self.window_len)
+        window.flags.writeable = False
+        return window
+
+    @cached_property
+    def _cola(self) -> np.ndarray:
+        """Squared-window envelope of a hop that two frames overlap: 1 to
+        rounding (COLA), so dividing by it needs no guard."""
+        wsq = self.window * self.window
+        return wsq[: self.hop_len] + wsq[self.hop_len :]
 
 
 def make_window(window_len: int) -> np.ndarray:
@@ -103,10 +118,7 @@ def stft(samples: np.ndarray, config: StftConfig = StftConfig()) -> np.ndarray:
     if samples.ndim != 1:
         raise ValueError(f"expected a 1-D signal, got shape {samples.shape}")
     frames = require_frames(len(samples), config)
-    padded = np.concatenate([np.zeros(config.head_pad), samples])
-    usable = (frames - 1) * config.hop_len + config.window_len
-    segments = sliding_window_view(padded[:usable], config.window_len)[:: config.hop_len]
-    return np.fft.rfft(segments * make_window(config.window_len), n=config.fft_len, axis=1)
+    return _frame_spectra(np.zeros(config.head_pad), samples[: frames * config.hop_len], config)
 
 
 def istft(spec: np.ndarray, config: StftConfig = StftConfig()) -> np.ndarray:
@@ -122,24 +134,55 @@ def istft(spec: np.ndarray, config: StftConfig = StftConfig()) -> np.ndarray:
         raise ValueError(
             f"expected spectrogram with {config.num_bins} bins, got shape {spec.shape}"
         )
-    frames = spec.shape[0]
-    window = make_window(config.window_len)
-    hop, wlen = config.hop_len, config.window_len
-    total = (frames - 1) * hop + wlen
+    if not len(spec):
+        return np.zeros(0)
+    hops, tail = _overlap_add(spec, np.zeros(config.hop_len), config)
+    # the first hop is the head padding
+    return np.concatenate([hops, _last_hop(tail, config)])[config.head_pad :]
 
-    segments = np.fft.irfft(spec, n=config.fft_len, axis=1)[:, :wlen] * window
-    # hop == wlen / 2: each frame's first half lands on hop f, its second on
-    # hop f + 1, so the overlap-add is two slice adds
-    acc = np.zeros(total)
-    acc[:-hop] += segments[:, :hop].reshape(-1)
-    acc[hop:] += segments[:, hop:].reshape(-1)
-    wsq = window * window
-    env = np.zeros(total)
-    env[:-hop] += np.tile(wsq[:hop], frames)
-    env[hop:] += np.tile(wsq[hop:], frames)
 
-    out = normalize_overlap_add(acc, env)
-    return out[config.head_pad : config.head_pad + frames * hop]
+# hop_len == window_len / 2, so frame t is hop t - 1 followed by hop t, and
+# every hop but the last is covered by two frame halves whose squared windows
+# sum to the COLA envelope.  The helpers below are the only code that relies
+# on it.
+
+
+def _frame_spectra(head: np.ndarray, samples: np.ndarray, config: StftConfig) -> np.ndarray:
+    """Windowed spectra ``(T, num_bins)`` of the frames that end in ``samples``.
+
+    ``samples`` holds a whole number T >= 1 of hops and ``head`` the
+    ``head_pad`` samples before them: the first half of frame 0.
+    """
+    hop = config.hop_len
+    hops = samples.reshape(-1, hop)
+    frames = np.empty((len(hops), config.window_len))
+    frames[0, :hop] = head
+    frames[1:, :hop] = hops[:-1]
+    frames[:, hop:] = hops
+    frames *= config.window
+    return np.fft.rfft(frames, n=config.fft_len)
+
+
+def _overlap_add(spec: np.ndarray, tail: np.ndarray, config: StftConfig):
+    """Synthesize the T >= 1 frames of ``spec`` and overlap-add them onto a carried tail.
+
+    ``tail`` is the windowed second half of the frame before ``spec[0]``;
+    zeros stand for a silent frame.  Returns ``(hops, tail)``: the
+    ``T * hop_len`` samples the frames complete, normalized, and the second
+    half of the last frame, to carry into the next call or to end the
+    signal with :func:`_last_hop`.
+    """
+    hop, window = config.hop_len, config.window
+    frames = np.fft.irfft(spec, n=config.fft_len)[:, : config.window_len] * window
+    acc = frames[:, :hop]
+    acc[0] += tail
+    acc[1:] += frames[:-1, hop:]
+    return (acc / config._cola).reshape(-1), frames[-1, hop:]
+
+
+def _last_hop(tail: np.ndarray, config: StftConfig) -> np.ndarray:
+    """The hop after the last frame: that frame's second half alone, normalized."""
+    return normalize_overlap_add(tail, config.window[config.hop_len :] ** 2)
 
 
 def normalize_overlap_add(acc: np.ndarray, env: np.ndarray) -> np.ndarray:

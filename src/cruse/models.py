@@ -608,19 +608,31 @@ def rnn_block_step(layer: RnnLayer, x: np.ndarray, states) -> np.ndarray:
     return np.concatenate(outs, axis=-1)
 
 
-def _infer_block(graph: ModelGraph, state: StreamState, frames: np.ndarray) -> np.ndarray:
-    # The one model body: (T, bins) features in, (T, bins) gains out.
+def infer_frame(graph: ModelGraph, state: StreamState, features: np.ndarray) -> np.ndarray:
+    """One forward pass over a feature frame ``(bins,)`` or a block of
+    consecutive frames ``(T, bins)``: the one model body.
+
+    Advances ``state`` in place and returns per-bin suppression gains of the
+    shape of ``features``, each strictly inside (0, 1).  Within a block every
+    layer but the recurrent matmul is one matmul over all frames.
+    """
+    k = graph.spec.num_bins
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim not in (1, 2) or features.shape[-1] != k:
+        raise ValueError(
+            f"expected features of shape ({k},) or (frames, {k}), got {features.shape}"
+        )
     ls = state.layer_states
+    x = features.reshape(-1, k)
     if graph.spec.family == "nsnet2":
-        x = frames
         for layer in graph.stack:
             if isinstance(layer, FcLayer):
                 x = activation_apply(layer.activation, fc_forward(layer.weight, layer.bias, x))
             else:
                 x = rnn_block_step(layer, x, ls[layer.name])
-        return x
+        return x.reshape(features.shape)
 
-    x = frames[:, None, :]  # 1 input channel
+    x = x[:, None, :]  # 1 input channel
     enc_outs = []
     for layer in graph.encoder:
         y, ls[layer.name] = conv2d_step(layer.weight, layer.bias, x, ls[layer.name])
@@ -636,40 +648,26 @@ def _infer_block(graph: ModelGraph, state: StreamState, frames: np.ndarray) -> n
         x = skip_combine(skip.kind, enc_outs.pop(), x, skip.scale, skip.bias)
         y, ls[layer.name] = tconv2d_step(layer.weight, layer.bias, x, ls[layer.name], layer.f_target)
         x = activation_apply(layer.activation, y)
-    return x[:, 0]
-
-
-def infer_frame(graph: ModelGraph, state: StreamState, features: np.ndarray) -> np.ndarray:
-    """One forward pass over a single feature frame.
-
-    Advances ``state`` in place and returns the per-bin suppression gains,
-    each strictly inside (0, 1).
-    """
-    k = graph.spec.num_bins
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape != (k,):
-        raise ValueError(f"expected features of shape ({k},), got {features.shape}")
-    return _infer_block(graph, state, features[None])[0]
+    return x[:, 0].reshape(features.shape)
 
 
 def infer_utterance(graph: ModelGraph, features: np.ndarray) -> np.ndarray:
-    """Run a whole utterance from a fresh zero state; rows are gain frames.
+    """Run a whole utterance ``(frames, bins)`` from a fresh zero state; rows
+    are gain frames.
 
-    The frames run in consecutive blocks of ``BLOCK_FRAMES``, through the
-    same body as :func:`infer_frame`, so that memory does not grow with the
-    utterance.  Within a block every layer but the recurrent matmul is one
-    matmul over all frames.  Matmuls over a block round differently from
-    matmuls over one frame, so the gains equal repeated :func:`infer_frame`
-    calls to within 1e-12, not bit for bit.  Each row still depends only on
-    the frames up to it, exactly.
+    The frames run through :func:`infer_frame` in consecutive blocks of
+    ``BLOCK_FRAMES``, so that memory does not grow with the utterance.
+    Matmuls over a block round differently from matmuls over one frame, so
+    the gains equal repeated single-frame :func:`infer_frame` calls to within
+    1e-12, not bit for bit.  Each row still depends only on the frames up to
+    it, exactly.
     """
-    k = graph.spec.num_bins
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != k:
-        raise ValueError(f"expected (frames, {k}) features, got shape {features.shape}")
+    if features.ndim != 2:
+        raise ValueError(f"expected (frames, bins) features, got shape {features.shape}")
     state = StreamState(graph)
     gains = np.empty_like(features)
     for start in range(0, len(features), BLOCK_FRAMES):
         block = slice(start, start + BLOCK_FRAMES)
-        gains[block] = _infer_block(graph, state, features[block])
+        gains[block] = infer_frame(graph, state, features[block])
     return gains

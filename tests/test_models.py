@@ -335,8 +335,19 @@ def test_empty_utterance():
 
 def test_feature_shape_validation():
     graph = build_model(nsnet2_spec(16))
-    with pytest.raises(ValueError):
-        infer_frame(graph, StreamState(graph), np.zeros(100))
+    for shape in [(100,), (3, 100), (2, 3, 161)]:  # a frame, a block, 3-D
+        with pytest.raises(ValueError):
+            infer_frame(graph, StreamState(graph), np.zeros(shape))
+
+
+def test_block_of_frames_matches_single_frames():
+    graph = init_test_weights(build_model(parse_model_name("CRUSE4-64-1xGRU2")), 12)
+    feats = np.random.default_rng(6).standard_normal((5, 161))
+    state = StreamState(graph)
+    looped = np.stack([infer_frame(graph, state, f) for f in feats])
+    block = infer_frame(graph, StreamState(graph), feats)
+    assert block.shape == feats.shape
+    np.testing.assert_allclose(block, looped, rtol=0, atol=1e-12)
 
 
 def test_causality_under_perturbation():

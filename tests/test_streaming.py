@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cruse.dsp import StftConfig, apply_gain, istft, log_power_features, stft
 from cruse.models import (
@@ -98,3 +100,86 @@ def test_non_finite_sample_is_zeroed_and_counted(bad):
         assert np.isfinite(out).all()
     assert engine.stats().nonfinite_hops == 1
     assert reference.stats().nonfinite_hops == 0
+
+
+# ---------------------------------------------------------------------------
+# chunked streaming: k hops per process_hop call
+
+
+@st.composite
+def small_engines(draw):
+    """A seeded graph of either family and a short-window transform with its bins."""
+    wlen = draw(st.sampled_from([8, 16, 32]))
+    cfg = StftConfig(window_len=wlen, fft_len=draw(st.sampled_from([wlen, 2 * wlen])))
+    if draw(st.booleans()):
+        spec = nsnet2_spec(draw(st.integers(1, 16)), num_bins=cfg.num_bins)
+    else:
+        spec = cruse_spec(
+            layers=draw(st.integers(1, 2)),
+            last_channels=draw(st.integers(1, 8)),
+            rnn_kind=draw(st.sampled_from(["gru", "lstm"])),
+            kernel=draw(st.sampled_from([(1, 3), (2, 3)])),
+            num_bins=cfg.num_bins,
+        )
+    return init_test_weights(build_model(spec), draw(st.integers(0, 2**32 - 1))), cfg
+
+
+@settings(max_examples=30)
+@given(small_engines(), st.lists(st.integers(1, 9), min_size=1, max_size=10),
+       st.integers(0, 2**32 - 1))
+def test_chunked_stream_equals_hop_by_hop_stream(case, chunks, seed):
+    graph, cfg = case
+    hop = cfg.hop_len
+    x = 0.1 * np.random.default_rng(seed).standard_normal(sum(chunks) * hop)
+    chunked = StreamingEnhancer(graph, cfg)
+    single = StreamingEnhancer(graph, cfg)
+    ends = np.cumsum(chunks) * hop
+    out = [chunked.process_hop(x[end - k * hop : end]) for k, end in zip(chunks, ends)]
+    ref = [single.process_hop(h) for h in x.reshape(-1, hop)]
+    assert [len(o) for o in out] == [k * hop for k in chunks]
+    np.testing.assert_allclose(
+        np.concatenate(out + [chunked.flush()]), np.concatenate(ref + [single.flush()]),
+        rtol=0, atol=1e-10,
+    )
+    assert chunked.stats().frames == single.stats().frames == sum(chunks)
+
+
+@settings(max_examples=25)
+@given(st.integers(1, 8), st.data())
+def test_nonfinite_hops_counts_hops_not_calls(k, data):
+    graph = init_test_weights(build_model(parse_model_name("CRUSE4-32-1xGRU2")), 26)
+    hop = CFG.hop_len
+    bad = data.draw(st.lists(st.integers(0, k * hop - 1), min_size=1, max_size=6, unique=True))
+    values = data.draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]),
+                                min_size=len(bad), max_size=len(bad)))
+    x = 0.1 * np.random.default_rng(k).standard_normal((3, k * hop))
+    poisoned, zeroed = x.copy(), x.copy()
+    poisoned[1, bad] = values
+    zeroed[1, bad] = 0.0
+    engine = StreamingEnhancer(graph, CFG)
+    reference = StreamingEnhancer(graph, CFG)
+    for chunk, clean in zip(poisoned, zeroed):  # clean, poisoned, clean
+        out = engine.process_hop(chunk)
+        np.testing.assert_array_equal(out, reference.process_hop(clean))
+        assert np.isfinite(out).all()
+    assert engine.stats().nonfinite_hops == len({i // hop for i in bad})
+    assert engine.stats().frames == 3 * k
+    assert reference.stats().nonfinite_hops == 0
+
+
+NOT_WHOLE_HOPS = st.one_of(
+    st.integers(0, 6 * CFG.hop_len).filter(lambda n: n % CFG.hop_len or not n).map(lambda n: (n,)),
+    st.tuples(st.integers(1, 3), st.integers(1, 3).map(lambda k: k * CFG.hop_len)),
+)
+
+
+@settings(max_examples=30)
+@given(NOT_WHOLE_HOPS)
+def test_process_hop_rejects_anything_but_whole_hops_and_keeps_its_state(shape):
+    graph = init_test_weights(build_model(parse_model_name("NSnet2-16")), 27)
+    x = 0.1 * np.random.default_rng(8).standard_normal(CFG.hop_len)
+    engine = StreamingEnhancer(graph, CFG)
+    with pytest.raises(ValueError, match="whole number"):
+        engine.process_hop(np.ones(shape))
+    assert engine.stats().frames == 0
+    np.testing.assert_array_equal(engine.process_hop(x), StreamingEnhancer(graph, CFG).process_hop(x))

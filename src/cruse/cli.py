@@ -18,10 +18,11 @@ import numpy as np
 from . import datagen as dg
 from . import metrics as mt
 from .audio_io import read_wav, write_wav
-from .dsp import StftConfig, istft, make_window, stft
+from .dsp import SAMPLE_RATE, StftConfig, istft, make_window, stft
 from .layers import GRU_GATES, gru_step, zero_rnn_weights
 from .macs import macs_gru, macs_lstm, macs_model
 from .models import (
+    SKIP_KINDS,
     StreamState,
     build_model,
     format_model_name,
@@ -52,14 +53,13 @@ def _load_graph(args):
 
 def cmd_enhance(args) -> int:
     samples, rate = read_wav(args.input)
-    cfg = StftConfig()
-    if rate != cfg.sample_rate:
+    if rate != SAMPLE_RATE:
         raise ValueError(
-            f"{args.input}: sample rate {rate} not supported; expected {cfg.sample_rate} "
+            f"{args.input}: sample rate {rate} not supported; expected {SAMPLE_RATE} "
             "(no implicit resampling)"
         )
     graph = _load_graph(args)
-    enhanced, stats = enhance_signal(graph, samples, cfg)
+    enhanced, stats = enhance_signal(graph, samples)
     clipped = write_wav(args.output, enhanced, rate, fmt=args.wav_format)
     print(
         f"{format_model_name(graph.spec)}: {stats.frames} frames, "
@@ -76,7 +76,7 @@ def _profile_rows(names, skip_kind):
         spec = parse_model_name(name)
         if skip_kind and spec.family == "cruse":
             spec = dataclasses.replace(spec, skip_kind=skip_kind)
-        report = macs_model(build_model(spec), name=name)
+        report = macs_model(build_model(spec))
         rows.append((name, report.params, report.per_frame, report.per_second))
     return rows
 
@@ -107,8 +107,8 @@ def cmd_datagen(args) -> int:
             recipe = dg.sample_recipe(rng, store)
             if not args.recipes_only:
                 pair = dg.generate_pair(recipe, store)
-                write_wav(out_dir / f"pair{i:05d}_noisy.wav", pair.noisy, store.sample_rate)
-                write_wav(out_dir / f"pair{i:05d}_target.wav", pair.target, store.sample_rate)
+                write_wav(out_dir / f"pair{i:05d}_noisy.wav", pair.noisy, SAMPLE_RATE)
+                write_wav(out_dir / f"pair{i:05d}_target.wav", pair.target, SAMPLE_RATE)
             log.write(recipe.to_json() + "\n")
     what = "recipes" if args.recipes_only else "pairs"
     print(f"wrote {args.count} {what} and {log_path}", file=sys.stderr)
@@ -144,7 +144,7 @@ def cmd_evaluate(args) -> int:
         est, ref = est[:n], ref[:n]
         sisdr = mt.si_sdr(est, ref)
         cd = mt.cepstral_distance(est, ref, cfg)
-        est_n, ref_n = mt.level_normalize_pair(est, ref, cfg.sample_rate)
+        est_n, ref_n = mt.level_normalize_pair(est, ref)
         loss = mt.loss_ccmse(stft(ref_n, cfg), stft(est_n, cfg))
         row = {"id": name, "sisdr": sisdr, "cd": cd, "loss": loss}
         ext = scores.get(Path(name).stem) or scores.get(name)
@@ -241,11 +241,12 @@ def _check_mac_monotonicity():
 
 
 def _check_rir_shaping():
-    fs = 16000
+    # at half of T60_MAX_S = 0.3 s the weight is exactly 10**-3
+    fs = SAMPLE_RATE
     t0 = 50
     rir = np.zeros(fs)
     rir[t0:] = 1.0  # constant tail isolates the weighting itself
-    shaped = dg.shape_rir(rir, t0, fs, t60_max=0.3)
+    shaped = dg.shape_rir(rir, t0)
     at_t0 = abs(shaped[t0] - 1.0)
     at_150ms = abs(shaped[t0 + int(0.15 * fs)] - 1e-3)
     ok = at_t0 < 1e-12 and at_150ms < 1e-12 and np.all(np.diff(shaped[t0:]) < 0)
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument(
         "--skips",
-        choices=("none", "add", "add_conv1x1", "concat"),
+        choices=SKIP_KINDS,
         help="override the CRUSE skip-connection type (default: add)",
     )
     p.set_defaults(func=cmd_profile)

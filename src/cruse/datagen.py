@@ -18,8 +18,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .audio_io import read_wav
-
-PIPELINE_RATE = 16000
+from .dsp import SAMPLE_RATE
 
 # Reverberant-speech classification thresholds (strict inequalities).
 T60_THRESHOLD_S = 0.22
@@ -40,16 +39,6 @@ ACTIVITY_RANGE_DB = 40.0
 
 # Largest positive 16-bit sample; scaling never pushes peaks past this.
 PEAK_LIMIT = 32767.0 / 32768.0
-
-
-@dataclass(frozen=True)
-class RirProfile:
-    """One room impulse response plus its reverberation metadata."""
-
-    samples: np.ndarray
-    sample_rate: int
-    t60: float | None = None
-    c50: float | None = None
 
 
 @dataclass(frozen=True)
@@ -114,26 +103,22 @@ def find_direct_sound(rir: np.ndarray) -> int:
     return int(np.argmax(mag >= DIRECT_SOUND_FRACTION * peak))
 
 
-def shape_rir(
-    rir: np.ndarray, t0: int, sample_rate: int = PIPELINE_RATE, t60_max: float = T60_MAX_S
-) -> np.ndarray:
+def shape_rir(rir: np.ndarray, t0: int) -> np.ndarray:
     """Impose an exponential decay after the direct sound.
 
     Samples before ``t0`` pass unchanged; from ``t0`` on, sample ``i`` is
-    weighted by ``exp(-(i - t0) / fs * 6 ln(10) / t60_max)``, i.e. a decay
-    reaching -60 dB after ``t60_max`` seconds.
+    weighted by ``exp(-(i - t0) / fs * 6 ln(10) / T60_MAX_S)``, i.e. a decay
+    reaching -60 dB (a weight of 1e-3) after ``T60_MAX_S / 2`` seconds.
     """
-    if t60_max <= 0:
-        raise ValueError(f"t60_max must be positive, got {t60_max}")
     rir = np.asarray(rir, dtype=np.float64)
     i = np.arange(len(rir))
-    rel = (i - t0) / float(sample_rate)
-    weight = np.where(i < t0, 1.0, np.exp(-rel * (6.0 * math.log(10.0) / t60_max)))
+    rel = (i - t0) / float(SAMPLE_RATE)
+    weight = np.where(i < t0, 1.0, np.exp(-rel * (6.0 * math.log(10.0) / T60_MAX_S)))
     return rir * weight
 
 
-def _activity_mask(samples: np.ndarray, sample_rate: int):
-    frame = max(1, sample_rate * ACTIVITY_FRAME_MS // 1000)
+def _activity_mask(samples: np.ndarray):
+    frame = SAMPLE_RATE * ACTIVITY_FRAME_MS // 1000
     n = len(samples) // frame
     if n == 0:
         frames = samples[None, :]
@@ -147,46 +132,39 @@ def _activity_mask(samples: np.ndarray, sample_rate: int):
     return frames, active
 
 
-def active_rms(samples: np.ndarray, sample_rate: int = PIPELINE_RATE) -> float:
+def active_rms(samples: np.ndarray) -> float:
     """Linear RMS over active 20 ms frames (those within 40 dB of the loudest).
 
     Homogeneous: scaling the input by a scales the result by exactly a.
     """
-    frames, active = _activity_mask(np.asarray(samples, dtype=np.float64), sample_rate)
+    frames, active = _activity_mask(np.asarray(samples, dtype=np.float64))
     sel = frames[active]
     return float(np.sqrt(np.sum(sel * sel) / sel.size))
 
 
-def estimate_active_level(samples: np.ndarray, sample_rate: int = PIPELINE_RATE) -> float:
+def estimate_active_level(samples: np.ndarray) -> float:
     """Active speech level in dBFS; raises on silent input."""
-    return 20.0 * math.log10(active_rms(samples, sample_rate))
+    return 20.0 * math.log10(active_rms(samples))
 
 
-def _normalize_concat(segments, sample_rate, norm_dbfs):
+def _normalize_concat(segments):
+    # each segment scaled to the SEGMENT_NORM_DBFS active level, then joined
     if not segments:
         raise ValueError("no segments to assemble")
-    target_rms = 10.0 ** (norm_dbfs / 20.0)
+    target_rms = 10.0 ** (SEGMENT_NORM_DBFS / 20.0)
     return np.concatenate(
-        [
-            np.asarray(s, dtype=np.float64) * (target_rms / active_rms(s, sample_rate))
-            for s in segments
-        ]
+        [np.asarray(s, dtype=np.float64) * (target_rms / active_rms(s)) for s in segments]
     )
 
 
-def assemble_clip(
-    segments,
-    clip_seconds: float = DEFAULT_CLIP_SECONDS,
-    sample_rate: int = PIPELINE_RATE,
-    norm_dbfs: float = SEGMENT_NORM_DBFS,
-) -> np.ndarray:
+def assemble_clip(segments, clip_seconds: float = DEFAULT_CLIP_SECONDS) -> np.ndarray:
     """Normalize segments to a common active level, concatenate, fit to length.
 
     Concatenations shorter than the clip are tiled cyclically before the final
-    truncation to exactly ``clip_seconds * sample_rate`` samples.
+    truncation to exactly ``clip_seconds * SAMPLE_RATE`` samples.
     """
-    total = int(round(clip_seconds * sample_rate))
-    joined = _normalize_concat(segments, sample_rate, norm_dbfs)
+    total = int(round(clip_seconds * SAMPLE_RATE))
+    joined = _normalize_concat(segments)
     if len(joined) < total:
         joined = np.tile(joined, total // len(joined) + 1)
     return joined[:total]
@@ -265,15 +243,14 @@ class AssetEntry:
 
 
 class AssetStore:
-    """Read-only collection of speech, noise, and RIR files.
+    """Read-only collection of speech, noise, and RIR files at ``SAMPLE_RATE``.
 
     Built from a delimited manifest with columns ``path,kind,t60,c50``
     (t60/c50 may be empty for noise); paths resolve against the manifest's
     directory.
     """
 
-    def __init__(self, entries, sample_rate: int = PIPELINE_RATE):
-        self.sample_rate = sample_rate
+    def __init__(self, entries):
         self.entries = {e.asset_id: e for e in entries}
         self._cache: dict[str, np.ndarray] = {}
         self.speech = [e for e in entries if e.kind == "speech"]
@@ -281,7 +258,7 @@ class AssetStore:
         self.rirs = [e for e in entries if e.kind == "rir"]
 
     @classmethod
-    def from_manifest(cls, manifest_path, sample_rate: int = PIPELINE_RATE) -> "AssetStore":
+    def from_manifest(cls, manifest_path) -> "AssetStore":
         manifest_path = Path(manifest_path)
         base = manifest_path.parent
         entries = []
@@ -298,7 +275,7 @@ class AssetStore:
                 c50 = _csv_float(manifest_path, reader, row, "c50") if row.get("c50") else None
                 rel = row["path"].strip()
                 entries.append(AssetEntry(rel, base / rel, kind, t60, c50))
-        return cls(entries, sample_rate)
+        return cls(entries)
 
     def entry(self, asset_id: str) -> AssetEntry:
         try:
@@ -310,20 +287,16 @@ class AssetStore:
         if asset_id not in self._cache:
             entry = self.entry(asset_id)
             samples, rate = read_wav(entry.path)
-            if rate != self.sample_rate:
+            if rate != SAMPLE_RATE:
                 raise ValueError(
                     f"{entry.path}: sample rate {rate} does not match pipeline rate "
-                    f"{self.sample_rate}"
+                    f"{SAMPLE_RATE}"
                 )
             self._cache[asset_id] = samples
         return self._cache[asset_id]
 
-    def load_rir(self, asset_id: str) -> RirProfile:
-        entry = self.entry(asset_id)
-        return RirProfile(self.load(asset_id), self.sample_rate, entry.t60, entry.c50)
-
     def duration(self, asset_id: str) -> float:
-        return len(self.load(asset_id)) / self.sample_rate
+        return len(self.load(asset_id)) / SAMPLE_RATE
 
 
 def _segment_ids(rng, first, pool, clip_seconds, store):
@@ -375,25 +348,19 @@ def generate_pair(recipe: MixtureRecipe, store: AssetStore) -> TrainingPair:
     Deterministic: the recipe seed drives the only internal randomness (the
     cyclic crop offset into the assembled noise).
     """
-    sr = store.sample_rate
-    total = int(round(recipe.clip_seconds * sr))
+    total = int(round(recipe.clip_seconds * SAMPLE_RATE))
     rng = np.random.default_rng(recipe.seed)
 
-    dry = assemble_clip(
-        [store.load(i) for i in recipe.speech_ids], recipe.clip_seconds, sr
-    )
+    dry = assemble_clip([store.load(i) for i in recipe.speech_ids], recipe.clip_seconds)
 
-    noise_joined = _normalize_concat(
-        [store.load(i) for i in recipe.noise_ids], sr, SEGMENT_NORM_DBFS
-    )
+    noise_joined = _normalize_concat([store.load(i) for i in recipe.noise_ids])
     offset = int(rng.integers(len(noise_joined)))
     noise = np.take(noise_joined, np.arange(offset, offset + total), mode="wrap")
 
     if recipe.rir_id is not None:
-        rir = store.load_rir(recipe.rir_id)
-        t0 = find_direct_sound(rir.samples)
-        shaped = shape_rir(rir.samples, t0, sr)
-        speech_in = fftconvolve(dry, rir.samples)[:total]
+        rir = store.load(recipe.rir_id)
+        shaped = shape_rir(rir, find_direct_sound(rir))
+        speech_in = fftconvolve(dry, rir)[:total]
         target = fftconvolve(dry, shaped)[:total]
     else:
         speech_in = dry

@@ -11,21 +11,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
-DEFAULT_LOG_FLOOR = 1e-12
+# The one rate of the whole pipeline: framing, data synthesis and metrics.
+SAMPLE_RATE = 16000
 
-# OLA positions with accumulated window energy below this are emitted as zero
-# instead of being renormalized (guards the division at frame boundaries).
-_ENVELOPE_EPS = 1e-12
+DEFAULT_LOG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Framing parameters: 16 kHz, 20 ms square-root Hann windows, 50% overlap."""
+    """Framing parameters: 20 ms square-root Hann windows at 50% overlap.
 
-    sample_rate: int = 16000
+    The rate is fixed at :data:`SAMPLE_RATE`; only the window and FFT
+    lengths are settable.
+    """
+
+    sample_rate: ClassVar[int] = SAMPLE_RATE
     window_len: int = 320
     fft_len: int = 320
 
@@ -48,11 +52,6 @@ class StftConfig:
     def hop_ms(self) -> float:
         """Duration of one hop in milliseconds (10 ms at the defaults)."""
         return 1000.0 * self.hop_len / self.sample_rate
-
-    @property
-    def head_pad(self) -> int:
-        """Zeros prepended to the signal so the first frame is causal-aligned."""
-        return self.window_len - self.hop_len
 
     @cached_property
     def window(self) -> np.ndarray:
@@ -85,11 +84,9 @@ def make_window(window_len: int) -> np.ndarray:
 
 
 def num_frames(num_samples: int, config: StftConfig) -> int:
-    """Frame count produced by :func:`stft` for ``num_samples`` input samples."""
-    padded = num_samples + config.head_pad
-    if padded < config.window_len:
-        return 0
-    return (padded - config.window_len) // config.hop_len + 1
+    """Frame count produced by :func:`stft` for ``num_samples`` input samples:
+    one per whole hop, since the head is padded by one hop."""
+    return num_samples // config.hop_len
 
 
 def require_frames(num_samples: int, config: StftConfig) -> int:
@@ -118,7 +115,7 @@ def stft(samples: np.ndarray, config: StftConfig = StftConfig()) -> np.ndarray:
     if samples.ndim != 1:
         raise ValueError(f"expected a 1-D signal, got shape {samples.shape}")
     frames = require_frames(len(samples), config)
-    return _frame_spectra(np.zeros(config.head_pad), samples[: frames * config.hop_len], config)
+    return _frame_spectra(np.zeros(config.hop_len), samples[: frames * config.hop_len], config)
 
 
 def istft(spec: np.ndarray, config: StftConfig = StftConfig()) -> np.ndarray:
@@ -138,7 +135,7 @@ def istft(spec: np.ndarray, config: StftConfig = StftConfig()) -> np.ndarray:
         return np.zeros(0)
     hops, tail = _overlap_add(spec, np.zeros(config.hop_len), config)
     # the first hop is the head padding
-    return np.concatenate([hops, _last_hop(tail, config)])[config.head_pad :]
+    return np.concatenate([hops, _last_hop(tail, config)])[config.hop_len :]
 
 
 # hop_len == window_len / 2, so frame t is hop t - 1 followed by hop t, and
@@ -150,8 +147,8 @@ def istft(spec: np.ndarray, config: StftConfig = StftConfig()) -> np.ndarray:
 def _frame_spectra(head: np.ndarray, samples: np.ndarray, config: StftConfig) -> np.ndarray:
     """Windowed spectra ``(T, num_bins)`` of the frames that end in ``samples``.
 
-    ``samples`` holds a whole number T >= 1 of hops and ``head`` the
-    ``head_pad`` samples before them: the first half of frame 0.
+    ``samples`` holds a whole number T >= 1 of hops and ``head`` the hop
+    before them: the first half of frame 0.
     """
     hop = config.hop_len
     hops = samples.reshape(-1, hop)
@@ -181,27 +178,22 @@ def _overlap_add(spec: np.ndarray, tail: np.ndarray, config: StftConfig):
 
 
 def _last_hop(tail: np.ndarray, config: StftConfig) -> np.ndarray:
-    """The hop after the last frame: that frame's second half alone, normalized."""
-    return normalize_overlap_add(tail, config.window[config.hop_len :] ** 2)
+    """The hop after the last frame: that frame's second half alone, normalized.
 
-
-def normalize_overlap_add(acc: np.ndarray, env: np.ndarray) -> np.ndarray:
-    """Divide overlap-added samples by their accumulated squared-window envelope.
-
-    Positions whose envelope is at most ``_ENVELOPE_EPS`` are emitted as zero.
+    The squared window there is at least ``sin(pi / window_len)**2 > 0``, so
+    the division needs no guard.
     """
-    return np.where(env > _ENVELOPE_EPS, acc / np.maximum(env, _ENVELOPE_EPS), 0.0)
+    return tail / config.window[config.hop_len :] ** 2
 
 
-def log_power_features(spec: np.ndarray, floor: float = DEFAULT_LOG_FLOOR) -> np.ndarray:
+def log_power_features(spec: np.ndarray) -> np.ndarray:
     """Per-frame log power spectra, floored before the logarithm.
 
-    ``out[n, k] = ln(max(|spec[n, k]|**2, floor))``; all outputs are finite.
+    ``out[n, k] = ln(max(|spec[n, k]|**2, DEFAULT_LOG_FLOOR))``; all outputs
+    are finite.
     """
-    if floor <= 0:
-        raise ValueError(f"log floor must be positive, got {floor}")
     power = np.abs(np.asarray(spec)) ** 2
-    return np.log(np.maximum(power, floor))
+    return np.log(np.maximum(power, DEFAULT_LOG_FLOOR))
 
 
 def apply_gain(spec: np.ndarray, gains: np.ndarray) -> np.ndarray:

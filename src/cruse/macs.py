@@ -88,7 +88,7 @@ def macs_skip_conv1x1(channels: int, freq: int) -> int:
     return 2 * channels * freq
 
 
-def macs_model(graph: ModelGraph, name: str | None = None) -> MacReport:
+def macs_model(graph: ModelGraph) -> MacReport:
     """Per-layer and total MAC counts for one model instance.
 
     Each row is one layer's ``macs()``; a plain add or concat skip counts
@@ -100,7 +100,7 @@ def macs_model(graph: ModelGraph, name: str | None = None) -> MacReport:
         LayerMacs(layer.name, type(layer).__name__, layer.macs()) for layer in graph.iter_layers()
     ]
     return MacReport(
-        model=name or format_model_name(graph.spec),
+        model=format_model_name(graph.spec),
         layers=tuple(row for row in rows if row.macs),
         params=graph.param_count(),
     )

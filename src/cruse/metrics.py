@@ -46,13 +46,12 @@ class ScoreSet:
     dnsmos: float | None = None
 
 
-def level_normalize_pair(pred: np.ndarray, target: np.ndarray,
-                         sample_rate: int = 16000):
+def level_normalize_pair(pred: np.ndarray, target: np.ndarray):
     """Divide both signals by the target's linear active level.
 
     Scaling both inputs by a common factor leaves the outputs unchanged.
     """
-    norm = active_rms(target, sample_rate)
+    norm = active_rms(target)
     return np.asarray(pred, dtype=np.float64) / norm, np.asarray(target, dtype=np.float64) / norm
 
 
@@ -100,7 +99,7 @@ def training_loss(pred_spec: np.ndarray, target_time: np.ndarray,
     recon = istft(np.asarray(pred_spec), stft_cfg)
     target_time = np.asarray(target_time, dtype=np.float64)
     n = min(len(recon), len(target_time) // stft_cfg.hop_len * stft_cfg.hop_len)
-    pred_n, target_n = level_normalize_pair(recon[:n], target_time[:n], stft_cfg.sample_rate)
+    pred_n, target_n = level_normalize_pair(recon[:n], target_time[:n])
     return loss_ccmse(stft(target_n, stft_cfg), stft(pred_n, stft_cfg), cfg)
 
 
@@ -137,13 +136,13 @@ def _log_spectra(samples: np.ndarray, stft_cfg: StftConfig):
 
 
 def cepstral_distance(est: np.ndarray, ref: np.ndarray,
-                      stft_cfg: StftConfig = StftConfig(),
-                      order: int = CEPSTRAL_ORDER) -> float:
+                      stft_cfg: StftConfig = StftConfig()) -> float:
     """Mean truncated-cepstrum distance in dB over jointly active frames.
 
-    Uses real cepstra of orders 1..24 from floored log magnitude spectra;
-    order 0 is excluded, which makes the measure gain-invariant.  Frames must
-    be active (within 40 dB of the loudest) in both signals to count.
+    Uses real cepstra of orders 1..24 (``CEPSTRAL_ORDER``) from floored log
+    magnitude spectra; order 0 is excluded, which makes the measure
+    gain-invariant.  Frames must be active (within 40 dB of the loudest) in
+    both signals to count.
     """
     est = np.asarray(est, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
@@ -158,8 +157,8 @@ def cepstral_distance(est: np.ndarray, ref: np.ndarray,
     if not active.any():
         raise ValueError("no jointly active frames")
 
-    ceps_e = np.fft.irfft(log_e[active], n=stft_cfg.fft_len, axis=1)[:, 1 : order + 1]
-    ceps_r = np.fft.irfft(log_r[active], n=stft_cfg.fft_len, axis=1)[:, 1 : order + 1]
+    ceps_e = np.fft.irfft(log_e[active], n=stft_cfg.fft_len, axis=1)[:, 1 : CEPSTRAL_ORDER + 1]
+    ceps_r = np.fft.irfft(log_r[active], n=stft_cfg.fft_len, axis=1)[:, 1 : CEPSTRAL_ORDER + 1]
     diff = ceps_e - ceps_r
     per_frame = (10.0 / math.log(10.0)) * np.sqrt(2.0 * np.sum(diff * diff, axis=1))
     return float(per_frame.mean())

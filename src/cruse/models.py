@@ -38,6 +38,9 @@ DEFAULT_NUM_BINS = 161
 FIRST_CHANNELS = 16
 NSNET2_FC_WIDTH = 600
 
+# CRUSE encoder-to-decoder skip connections (Section 2 of the paper).
+SKIP_KINDS = ("none", "add", "add_conv1x1", "concat")
+
 # Frames per block of whole-utterance inference.  It bounds the memory of the
 # intermediates: over 1,000 frames of CRUSE4-128-1xGRU4, one block raised
 # peak RSS by 222 MB and blocks of 64 frames by 8 MB.
@@ -82,7 +85,7 @@ class ModelSpec:
     rnn_kind: str = "gru"
     rnn_layers: int = 1              # stacked RNN layers N
     parallel_groups: int = 1         # disconnected parallel RNNs P
-    skip_kind: str = "add"           # none | add | add_conv1x1 | concat
+    skip_kind: str = "add"           # one of SKIP_KINDS
     kernel: tuple[int, int] = (2, 3)
 
     def __post_init__(self):
@@ -106,7 +109,7 @@ class ModelSpec:
             raise ValueError(f"need {self.layers} positive channel counts, got {self.channels!r}")
         if self.rnn_kind not in ("gru", "lstm"):
             raise ValueError(f"unknown RNN kind {self.rnn_kind!r}")
-        if self.skip_kind not in ("none", "add", "add_conv1x1", "concat"):
+        if self.skip_kind not in SKIP_KINDS:
             raise ValueError(f"unknown skip kind {self.skip_kind!r}")
         if tuple(self.kernel) not in ((2, 3), (1, 3)):
             raise ValueError(f"unsupported kernel {tuple(self.kernel)}; use (2, 3) or (1, 3)")

@@ -53,7 +53,7 @@ class StreamingEnhancer:
         self.graph = graph
         self.config = config
         self.state = StreamState(graph)
-        self._head = np.zeros(config.head_pad)      # input before the next frame: starts as zeros
+        self._head = np.zeros(config.hop_len)       # input before the next frame: starts as zeros
         self._tail = np.zeros(config.hop_len)       # second half of the last frame: silence
         self._frames = 0
         self._nonfinite_hops = 0
@@ -92,7 +92,7 @@ class StreamingEnhancer:
         spec = _frame_spectra(self._head, samples, cfg)
         gains = infer_frame(self.graph, self.state, log_power_features(spec))
         out, self._tail = _overlap_add(spec * gains, self._tail, cfg)
-        self._head = samples[-cfg.head_pad :].copy()
+        self._head = samples[-hop:].copy()
 
         k = samples.size // hop
         self._frames += k
@@ -136,4 +136,4 @@ def enhance_signal(graph: ModelGraph, samples: np.ndarray,
     hops = [engine.process_hop(whole[i : i + chunk]) for i in range(0, len(whole), chunk)]
     hops += [engine.flush(), np.zeros(len(samples) - len(whole))]
     # the first emitted hop is the synthetic head padding
-    return np.concatenate(hops)[config.head_pad :], engine.stats()
+    return np.concatenate(hops)[config.hop_len :], engine.stats()

@@ -152,7 +152,7 @@ def test_criterion_07_rir_weighting_closed_forms():
     fs = 16000
     t0 = 400
     rir = np.ones(fs)
-    shaped = shape_rir(rir, t0, fs, t60_max=0.3)
+    shaped = shape_rir(rir, t0)
     assert abs(shaped[t0] - 1.0) <= 1e-12
     assert abs(shaped[t0 + int(0.15 * fs)] - 1e-3) <= 1e-12
     _report(7, "weight(t0) = 1 and weight(t0 + 150 ms) = 1e-3 to 1e-12")

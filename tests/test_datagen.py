@@ -63,7 +63,7 @@ def test_find_direct_sound_rejects_silence():
 def test_shape_rir_closed_forms():
     t0 = 80
     rir = np.ones(SR)
-    shaped = shape_rir(rir, t0, SR, t60_max=0.3)
+    shaped = shape_rir(rir, t0)
     assert shaped[t0] == 1.0  # weight is exactly 1 at the direct sound
     at = t0 + int(0.15 * SR)
     assert abs(shaped[at] - 1e-3) < 1e-12
@@ -71,35 +71,30 @@ def test_shape_rir_closed_forms():
     assert np.all(np.diff(shaped[t0:]) < 0)
 
 
-def test_shape_rir_validates_decay():
-    with pytest.raises(ValueError):
-        shape_rir(np.ones(10), 0, SR, t60_max=0.0)
-
-
 # ---------------------------------------------------------------------------
 # levels
 
 
 def test_active_level_full_scale():
-    assert estimate_active_level(np.ones(SR), SR) == 0.0
+    assert estimate_active_level(np.ones(SR)) == 0.0
     alternating = np.tile([1.0, -1.0], SR // 2)
-    assert estimate_active_level(alternating, SR) == 0.0
+    assert estimate_active_level(alternating) == 0.0
 
 
 def test_active_level_homogeneity():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(SR) * 0.2
-    base = estimate_active_level(x, SR)
-    assert abs(estimate_active_level(0.5 * x, SR) - (base + 20.0 * math.log10(0.5))) < 1e-12
-    assert abs(estimate_active_level(0.1 * x, SR) - (base - 20.0)) < 1e-9
+    base = estimate_active_level(x)
+    assert abs(estimate_active_level(0.5 * x) - (base + 20.0 * math.log10(0.5))) < 1e-12
+    assert abs(estimate_active_level(0.1 * x) - (base - 20.0)) < 1e-9
 
 
 def test_active_level_ignores_silence_padding():
     rng = np.random.default_rng(2)
     burst = 0.5 * rng.standard_normal(int(0.2 * SR))
     padded = np.concatenate([burst, np.zeros(int(1.8 * SR))])
-    active = estimate_active_level(padded, SR)
-    burst_level = estimate_active_level(burst, SR)
+    active = estimate_active_level(padded)
+    burst_level = estimate_active_level(burst)
     whole_rms_level = 20.0 * math.log10(np.sqrt(np.mean(padded**2)))
     assert abs(active - burst_level) < 0.5
     assert active - whole_rms_level > 9.0  # 10% duty cycle -> ~10 dB gap
@@ -107,7 +102,7 @@ def test_active_level_ignores_silence_padding():
 
 def test_active_level_rejects_silence():
     with pytest.raises(ValueError):
-        estimate_active_level(np.zeros(SR), SR)
+        estimate_active_level(np.zeros(SR))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +112,7 @@ def test_active_level_rejects_silence():
 def test_assemble_truncates_long_segment():
     rng = np.random.default_rng(3)
     seg = 0.3 * rng.standard_normal(12 * SR)
-    clip = assemble_clip([seg], 10.0, SR)
+    clip = assemble_clip([seg], 10.0)
     assert len(clip) == 10 * SR
     # content is the first 10 s, up to one common gain
     ratio = clip[1000] / seg[1000]
@@ -128,17 +123,17 @@ def test_assemble_concatenates_two_segments():
     rng = np.random.default_rng(4)
     a = 0.3 * rng.standard_normal(6 * SR)
     b = 0.1 * rng.standard_normal(6 * SR)
-    clip = assemble_clip([a, b], 10.0, SR)
+    clip = assemble_clip([a, b], 10.0)
     assert len(clip) == 10 * SR
-    level_a = estimate_active_level(clip[: 6 * SR], SR)
-    level_b = estimate_active_level(clip[6 * SR :], SR)
+    level_a = estimate_active_level(clip[: 6 * SR])
+    level_b = estimate_active_level(clip[6 * SR :])
     assert abs(level_a - level_b) < 0.1
 
 
 def test_assemble_tiles_short_input():
     rng = np.random.default_rng(5)
     seg = 0.2 * rng.standard_normal(3 * SR)
-    clip = assemble_clip([seg], 10.0, SR)
+    clip = assemble_clip([seg], 10.0)
     assert len(clip) == 10 * SR
     np.testing.assert_array_equal(clip[: 3 * SR], clip[3 * SR : 6 * SR])
 
@@ -164,7 +159,7 @@ def test_mix_at_snr_self_consistent():
     noise = 0.05 * rng.standard_normal(2 * SR)
     for snr in (-5.0, 0.0, 12.5):
         _, scale = mix_at_snr(speech, noise, snr)
-        achieved = estimate_active_level(speech, SR) - estimate_active_level(scale * noise, SR)
+        achieved = estimate_active_level(speech) - estimate_active_level(scale * noise)
         assert abs(achieved - snr) < 0.1
 
 
@@ -176,7 +171,7 @@ def test_mix_at_snr_length_mismatch():
 def test_scale_pair_unit_factor_when_already_at_level():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(SR)
-    x = x * (10 ** (-28.0 / 20.0) / active_rms(x, SR))  # put it exactly at -28 dBFS
+    x = x * (10 ** (-28.0 / 20.0) / active_rms(x))  # put it exactly at -28 dBFS
     scaled = scale_pair_to_level(x, x.copy(), -28.0)
     assert scaled.factor == pytest.approx(1.0, rel=1e-9)
     assert not scaled.peak_limited
@@ -198,9 +193,9 @@ def test_scale_pair_common_factor_preserves_ratio():
     rng = np.random.default_rng(9)
     mixture = 0.2 * rng.standard_normal(SR)
     target = 0.1 * rng.standard_normal(SR)
-    before = estimate_active_level(mixture, SR) - estimate_active_level(target, SR)
+    before = estimate_active_level(mixture) - estimate_active_level(target)
     scaled = scale_pair_to_level(mixture, target, -20.0)
-    after = estimate_active_level(scaled.mixture, SR) - estimate_active_level(scaled.target, SR)
+    after = estimate_active_level(scaled.mixture) - estimate_active_level(scaled.target)
     assert abs(before - after) < 1e-9
     np.testing.assert_allclose(scaled.target, target * scaled.factor, atol=1e-15)
 
@@ -296,9 +291,7 @@ def test_generate_pair_impulse_rir_is_identity(asset_store):
         seed=4,
     )
     pair = generate_pair(recipe, asset_store)
-    dry = assemble_clip(
-        [asset_store.load(i) for i in recipe.speech_ids], 2.0, SR
-    )
+    dry = assemble_clip([asset_store.load(i) for i in recipe.speech_ids], 2.0)
     # with a unit-impulse RIR both paths equal the dry speech, up to the level factor
     factor = pair.target[1000] / dry[1000]
     np.testing.assert_allclose(pair.target, dry * factor, atol=1e-10)
@@ -318,22 +311,22 @@ def test_generate_pair_high_snr_matches_reverberant_speech(asset_store):
     pair = generate_pair(recipe, asset_store)
     from scipy.signal import fftconvolve
 
-    rir = asset_store.load_rir("rir_room.wav")
-    dry = assemble_clip([asset_store.load("speech_dry1.wav")], 2.0, SR)
-    reverberant = fftconvolve(dry, rir.samples)[: 2 * SR]
+    rir = asset_store.load("rir_room.wav")
+    dry = assemble_clip([asset_store.load("speech_dry1.wav")], 2.0)
+    reverberant = fftconvolve(dry, rir)[: 2 * SR]
     corr = np.corrcoef(pair.noisy, reverberant)[0, 1]
     assert corr > 0.999
 
 
 def test_generate_pair_shaped_target_decays(asset_store):
-    rir = asset_store.load_rir("rir_room.wav")
-    t0 = find_direct_sound(rir.samples)
-    shaped = shape_rir(rir.samples, t0, SR)
+    rir = asset_store.load("rir_room.wav")
+    t0 = find_direct_sound(rir)
+    shaped = shape_rir(rir, t0)
     cut = t0 + int(0.3 * SR)
-    full_tail = np.sqrt(np.mean(rir.samples[cut:] ** 2))
+    full_tail = np.sqrt(np.mean(rir[cut:] ** 2))
     shaped_tail = np.sqrt(np.mean(shaped[cut:] ** 2))
     assert shaped_tail < full_tail * 1e-3  # >= 60 dB down past the decay horizon
-    ratio_at_cut = abs(shaped[cut] / rir.samples[cut])
+    ratio_at_cut = abs(shaped[cut] / rir[cut])
     assert ratio_at_cut < 1e-3 * 1.0001
 
 

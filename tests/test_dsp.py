@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cruse.dsp import (
+    DEFAULT_LOG_FLOOR,
     StftConfig,
     apply_gain,
     consistency_project,
@@ -75,6 +76,13 @@ def test_stft_frame_count():
     assert num_frames(3200, CFG) == 20
     assert num_frames(160, CFG) == 1
     assert stft(np.ones(1600), CFG).shape == (10, 161)
+    # one frame per whole hop, at any window length and any signal length
+    for window_len in (2, 4, 64, 320, 1024):
+        cfg = StftConfig(window_len=window_len, fft_len=window_len)
+        for n in sorted({window_len // 2, window_len - 1, window_len, 2 * window_len + 1, 4999}):
+            assert num_frames(n, cfg) == n // cfg.hop_len
+            assert len(stft(np.ones(n), cfg)) == num_frames(n, cfg)
+        assert num_frames(cfg.hop_len - 1, cfg) == 0
 
 
 def test_stft_too_short_errors():
@@ -96,7 +104,7 @@ def test_stft_matches_direct_dft_oracle():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(1600)
     spec = stft(x, CFG)
-    padded = np.concatenate([np.zeros(CFG.head_pad), x])
+    padded = np.concatenate([np.zeros(CFG.hop_len), x])
     w = make_window(320)
     for f in [0, 3, 7]:
         frame = padded[f * 160 : f * 160 + 320] * w
@@ -191,11 +199,10 @@ def test_log_power_unit_magnitude_is_zero():
 
 def test_log_power_floor():
     spec = np.zeros((1, 161), dtype=complex)
-    feats = log_power_features(spec, floor=1e-12)
-    np.testing.assert_allclose(feats, np.log(1e-12))
+    feats = log_power_features(spec)
+    np.testing.assert_allclose(feats, np.log(DEFAULT_LOG_FLOOR))
+    assert DEFAULT_LOG_FLOOR == 1e-12
     assert np.all(np.isfinite(feats))
-    with pytest.raises(ValueError):
-        log_power_features(spec, floor=0.0)
 
 
 def test_log_power_scaling_shift():

@@ -1,9 +1,13 @@
-"""Golden outputs of seeded models, pinned across refactors of the engine.
+"""Golden outputs of seeded models and of seeded training pairs, pinned
+across refactors of the engine, the data synthesis and the metrics.
 
 Each model is built with ``init_test_weights(..., 1234)``.  The bundle written
 by ``save_weights`` must keep its exact bytes (SHA-256), and the streamed
 ``enhance_signal`` output on a fixed seeded signal must keep three random
-projections to 1e-10.
+projections to 1e-10.  Each training pair is ``generate_pair`` of a 2 s recipe
+drawn by ``sample_recipe`` from a seeded generator over the conftest assets;
+its noisy and target signals keep three random projections to 1e-10, and
+the scores of one pair are pinned too.
 """
 
 import hashlib
@@ -11,6 +15,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from cruse.datagen import generate_pair, sample_recipe
+from cruse.dsp import stft
+from cruse.metrics import cepstral_distance, level_normalize_pair, training_loss
 from cruse.models import build_model, init_test_weights, parse_model_name, save_weights
 from cruse.streaming import enhance_signal
 
@@ -34,6 +41,10 @@ GOLDEN = {
 }
 
 
+def _projections(x):
+    return np.random.default_rng(5).standard_normal((3, len(x))) @ x
+
+
 @pytest.fixture(scope="module")
 def signal():
     return 0.1 * np.random.default_rng(2021).standard_normal(3200)
@@ -48,5 +59,50 @@ def test_seeded_bundle_and_output_match_golden(name, signal, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == bundle_sha
 
     out, _ = enhance_signal(graph, signal)
-    basis = np.random.default_rng(5).standard_normal((3, len(signal)))
-    np.testing.assert_allclose(basis @ out, projections, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(_projections(out), projections, rtol=0, atol=1e-10)
+
+
+def _seeded_pair(asset_store, seed):
+    recipe = sample_recipe(np.random.default_rng(seed), asset_store, clip_seconds=2.0)
+    return recipe, generate_pair(recipe, asset_store)
+
+
+# recipe seed: (RIR, noisy projections, target projections)
+PAIR_GOLDEN = {
+    1: (
+        None,
+        (-0.9054632061116715, -0.4713928606446498, 1.523367561237305),
+        (-0.6651154789388044, -0.4955265737469694, 1.5870364714954575),
+    ),
+    9: (
+        "rir_room.wav",
+        (1.9899770281988296, 41.553956729858356, 74.20846000067144),
+        (-0.08025227244177428, 6.419353061676603, 12.381717855860503),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PAIR_GOLDEN))
+def test_seeded_training_pair_matches_golden(seed, asset_store):
+    rir_id, noisy, target = PAIR_GOLDEN[seed]
+    recipe, pair = _seeded_pair(asset_store, seed)
+    assert recipe.rir_id == rir_id
+    np.testing.assert_allclose(_projections(pair.noisy), noisy, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(_projections(pair.target), target, rtol=0, atol=1e-10)
+
+
+def test_scores_of_a_seeded_reverberant_pair_match_golden(asset_store):
+    _, pair = _seeded_pair(asset_store, 9)
+    assert abs(cepstral_distance(pair.noisy, pair.target) - 6.2654193869581825) <= 1e-10
+    # a sum over every bin of every frame, near 8e4: pinned relative to its size
+    loss = training_loss(stft(pair.noisy), pair.target)
+    np.testing.assert_allclose(loss, 76657.73120271112, rtol=1e-12)
+    pred_n, target_n = level_normalize_pair(pair.noisy, pair.target)
+    np.testing.assert_allclose(
+        _projections(pred_n), (30.204038217702973, 630.7094400488775, 1126.3422291692925),
+        rtol=0, atol=1e-10,
+    )
+    np.testing.assert_allclose(
+        _projections(target_n), (-1.2180757212475426, 97.43347911071255, 187.93075197341358),
+        rtol=0, atol=1e-10,
+    )

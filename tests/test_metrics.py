@@ -50,7 +50,7 @@ def cd_oracle(est, ref, cfg=CFG, order=24, floor=1e-12):
 def test_level_normalize_identity_at_full_scale():
     target = np.tile([1.0, -1.0], SR)
     pred = np.random.default_rng(0).standard_normal(2 * SR)
-    pred_n, target_n = level_normalize_pair(pred, target, SR)
+    pred_n, target_n = level_normalize_pair(pred, target)
     np.testing.assert_array_equal(pred_n, pred)
     np.testing.assert_array_equal(target_n, target)
 
@@ -59,8 +59,8 @@ def test_level_normalize_common_factor_invariance():
     rng = np.random.default_rng(1)
     pred = rng.standard_normal(SR)
     target = rng.standard_normal(SR) * 0.3
-    base = level_normalize_pair(pred, target, SR)
-    scaled = level_normalize_pair(0.5 * pred, 0.5 * target, SR)
+    base = level_normalize_pair(pred, target)
+    scaled = level_normalize_pair(0.5 * pred, 0.5 * target)
     np.testing.assert_array_equal(scaled[0], base[0])  # power-of-two scale: bit-exact
     np.testing.assert_array_equal(scaled[1], base[1])
 
@@ -69,14 +69,14 @@ def test_level_normalize_only_target_sets_norm():
     rng = np.random.default_rng(2)
     pred = rng.standard_normal(SR)
     target = rng.standard_normal(SR)
-    base_pred, _ = level_normalize_pair(pred, target, SR)
-    doubled_pred, _ = level_normalize_pair(2.0 * pred, target, SR)
+    base_pred, _ = level_normalize_pair(pred, target)
+    doubled_pred, _ = level_normalize_pair(2.0 * pred, target)
     np.testing.assert_array_equal(doubled_pred, 2.0 * base_pred)
 
 
 def test_level_normalize_silent_target_errors():
     with pytest.raises(ValueError):
-        level_normalize_pair(np.ones(SR), np.zeros(SR), SR)
+        level_normalize_pair(np.ones(SR), np.zeros(SR))
 
 
 # ---------------------------------------------------------------------------

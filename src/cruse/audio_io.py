@@ -13,6 +13,8 @@ import struct
 import numpy as np
 from scipy.io import wavfile
 
+from .dsp import SAMPLE_RATE
+
 PCM16_SCALE = 32768.0
 
 
@@ -52,6 +54,22 @@ def read_wav(path) -> tuple[np.ndarray, int]:
             f"{path}: unsupported sample format {data.dtype}; use 16-bit PCM or 32-bit float"
         )
     return samples, int(rate)
+
+
+def read_pipeline_wav(path) -> np.ndarray:
+    """Read a mono WAV file at the pipeline rate, :data:`cruse.dsp.SAMPLE_RATE`.
+
+    Raises:
+        ValueError: naming the path, as :func:`read_wav` does, and for any
+            other sample rate (there is no implicit resampling).
+    """
+    samples, rate = read_wav(path)
+    if rate != SAMPLE_RATE:
+        raise ValueError(
+            f"{path}: sample rate {rate} not supported; expected {SAMPLE_RATE} "
+            "(no implicit resampling)"
+        )
+    return samples
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int, fmt: str = "pcm16") -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import datagen as dg
 from . import metrics as mt
-from .audio_io import read_wav, write_wav
+from .audio_io import read_pipeline_wav, write_wav
 from .dsp import SAMPLE_RATE, StftConfig, istft, make_window, stft
 from .layers import GRU_GATES, gru_step, zero_rnn_weights
 from .macs import macs_gru, macs_lstm, macs_model
@@ -52,15 +52,10 @@ def _load_graph(args):
 
 
 def cmd_enhance(args) -> int:
-    samples, rate = read_wav(args.input)
-    if rate != SAMPLE_RATE:
-        raise ValueError(
-            f"{args.input}: sample rate {rate} not supported; expected {SAMPLE_RATE} "
-            "(no implicit resampling)"
-        )
+    samples = read_pipeline_wav(args.input)
     graph = _load_graph(args)
     enhanced, stats = enhance_signal(graph, samples)
-    clipped = write_wav(args.output, enhanced, rate, fmt=args.wav_format)
+    clipped = write_wav(args.output, enhanced, SAMPLE_RATE, fmt=args.wav_format)
     print(
         f"{format_model_name(graph.spec)}: {stats.frames} frames, "
         f"mean {stats.mean_frame_ms:.3f} ms/frame, max {stats.max_frame_ms:.3f} ms, "
@@ -128,6 +123,13 @@ def _paired_files(enhanced_dir, reference_dir):
     return [(name, enh[name], ref[name]) for name in sorted(enh)]
 
 
+def _read_scored_wav(path) -> np.ndarray:
+    samples = read_pipeline_wav(path)
+    if not np.isfinite(samples).all():
+        raise ValueError(f"{path}: non-finite samples (NaN or Inf) cannot be scored")
+    return samples
+
+
 def cmd_evaluate(args) -> int:
     scores = {}
     if args.scores:
@@ -138,8 +140,8 @@ def cmd_evaluate(args) -> int:
     cfg = StftConfig()
     rows = []
     for name, enh_path, ref_path in _paired_files(args.enhanced, args.reference):
-        est, _ = read_wav(enh_path)
-        ref, _ = read_wav(ref_path)
+        est = _read_scored_wav(enh_path)
+        ref = _read_scored_wav(ref_path)
         n = min(len(est), len(ref))
         est, ref = est[:n], ref[:n]
         sisdr = mt.si_sdr(est, ref)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .audio_io import read_wav
+from .audio_io import read_pipeline_wav
 from .dsp import SAMPLE_RATE
 
 # Reverberant-speech classification thresholds (strict inequalities).
@@ -285,14 +285,7 @@ class AssetStore:
 
     def load(self, asset_id: str) -> np.ndarray:
         if asset_id not in self._cache:
-            entry = self.entry(asset_id)
-            samples, rate = read_wav(entry.path)
-            if rate != SAMPLE_RATE:
-                raise ValueError(
-                    f"{entry.path}: sample rate {rate} does not match pipeline rate "
-                    f"{SAMPLE_RATE}"
-                )
-            self._cache[asset_id] = samples
+            self._cache[asset_id] = read_pipeline_wav(self.entry(asset_id).path)
         return self._cache[asset_id]
 
     def duration(self, asset_id: str) -> float:

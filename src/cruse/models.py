@@ -14,6 +14,7 @@ e.g. ``CRUSE4-128-1xGRU4``: 4 encoder/decoder layers with channels
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import asdict, dataclass, field, fields
 
@@ -423,9 +424,40 @@ def build_model(spec: ModelSpec) -> ModelGraph:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic test weights
+# Filling and writing the parameters in place
 
-_LCG_BLOCK = 1 << 14
+# Parameters are made, loaded and written in blocks of at most this many
+# values, so that no step holds more than a block-sized temporary beside the
+# graph itself.
+_FILL_BLOCK = 1 << 14
+
+
+def _param_blocks(graph: ModelGraph, mode: str):
+    """Every parameter of ``graph`` in canonical order, each array flattened
+    row-major, as 1-D blocks of at most ``_FILL_BLOCK`` values.
+
+    ``mode`` is ``"readonly"`` or ``"writeonly"``.  A block of a contiguous
+    array is a view of it; a strided array (a tconv weight stored as its tap
+    matrix) goes through a block-sized buffer, which in ``"writeonly"`` mode
+    is copied back into the array after each block.
+    """
+    for layer in graph.iter_layers():
+        for _, arr in layer.param_arrays():
+            with np.nditer(arr, ["external_loop", "buffered"], [[mode]], order="C",
+                           buffersize=_FILL_BLOCK) as blocks:
+                yield from blocks
+
+
+def _fill_params(graph: ModelGraph, source) -> ModelGraph:
+    """Overwrite every parameter of ``graph`` in place, in canonical order.
+
+    ``source(n)`` returns the next ``n <= _FILL_BLOCK`` values, float32.  The
+    arrays stay the same objects, so a tconv weight keeps its tap-matrix
+    storage.
+    """
+    for block in _param_blocks(graph, "writeonly"):
+        block[...] = source(block.size)
+    return graph
 
 
 def _lcg_tables(block: int):
@@ -437,26 +469,30 @@ def _lcg_tables(block: int):
     return powers * a, partial * np.uint64(LCG_INC)
 
 
-_LCG_A, _LCG_C = _lcg_tables(_LCG_BLOCK)
+_LCG_A, _LCG_C = _lcg_tables(_FILL_BLOCK)
 
 
-class _LcgStream:
-    """Vectorized 64-bit LCG, bit-identical to the scalar recurrence."""
+def _lcg_source(seed: int):
+    """A ``_fill_params`` source drawing from the documented LCG; bit-identical
+    to the scalar recurrence, with its work buffers made once."""
+    state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    states = np.empty(_FILL_BLOCK, dtype=np.uint64)
+    values = np.empty(_FILL_BLOCK)
+    rounded = np.empty(_FILL_BLOCK, dtype=np.float32)
 
-    def __init__(self, seed: int):
-        self.state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    def draw(n: int) -> np.ndarray:
+        nonlocal state
+        s, v = states[:n], values[:n]
+        np.multiply(_LCG_A[:n], state, out=s)
+        s += _LCG_C[:n]
+        state = s[-1]
+        s >>= np.uint64(11)
+        # 0.2 * (top 53 bits / 2**53) as one multiply, bit for bit: the bits
+        # fit an int64 and a float64 mantissa, and scaling by 2**-53 is exact
+        np.multiply(s.view(np.int64), 2.0 * INIT_WEIGHT_RANGE / float(1 << 53), out=v)
+        return np.add(v, -INIT_WEIGHT_RANGE, out=rounded[:n])
 
-    def uniform(self, n: int) -> np.ndarray:
-        out = np.empty(n)
-        i = 0
-        while i < n:
-            k = min(_LCG_BLOCK, n - i)
-            states = _LCG_A[:k] * self.state + _LCG_C[:k]
-            mant = (states >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-            out[i : i + k] = -INIT_WEIGHT_RANGE + 2.0 * INIT_WEIGHT_RANGE * mant
-            self.state = states[k - 1]
-            i += k
-        return out
+    return draw
 
 
 def init_test_weights(graph: ModelGraph, seed: int) -> ModelGraph:
@@ -466,12 +502,7 @@ def init_test_weights(graph: ModelGraph, seed: int) -> ModelGraph:
     filled in canonical layer order, each flattened row-major.  Values are
     quantized to float32 so that weight bundles round-trip bit-exactly.
     """
-    stream = _LcgStream(seed)
-    for layer in graph.iter_layers():
-        for _, arr in layer.param_arrays():
-            values = stream.uniform(arr.size).astype(np.float32).astype(np.float64)
-            arr[...] = values.reshape(arr.shape)
-    return graph
+    return _fill_params(graph, _lcg_source(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -495,18 +526,15 @@ def _manifest(graph: ModelGraph) -> dict:
 
 
 def save_weights(graph: ModelGraph, path) -> None:
-    """Write a weight bundle: magic, manifest length, JSON manifest, blob."""
+    """Write a weight bundle: magic, manifest length, JSON manifest, blob
+    (written block by block)."""
     manifest = json.dumps(_manifest(graph), indent=1).encode()
-    blob = b"".join(
-        np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        for layer in graph.iter_layers()
-        for _, arr in layer.param_arrays()
-    )
     with open(path, "wb") as fh:
         fh.write(BUNDLE_MAGIC)
         fh.write(len(manifest).to_bytes(4, "little"))
         fh.write(manifest)
-        fh.write(blob)
+        for block in _param_blocks(graph, "readonly"):
+            fh.write(block.astype("<f4"))
 
 
 def _spec_from_manifest(manifest: dict) -> ModelSpec:
@@ -517,8 +545,25 @@ def _spec_from_manifest(manifest: dict) -> ModelSpec:
     return ModelSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in spec.items()})
 
 
+def _blob_source(fh, path):
+    """A ``_fill_params`` source reading float32 blocks from ``fh``."""
+    buf = np.empty(_FILL_BLOCK, dtype="<f4")
+
+    def read(n: int) -> np.ndarray:
+        block = buf[:n]
+        if fh.readinto(block) != block.nbytes:
+            raise ValueError(f"{path}: weight blob ended early")
+        if not np.isfinite(block).all():
+            raise ValueError(f"{path}: weight blob has non-finite values")
+        return block
+
+    return read
+
+
 def load_weights(path) -> ModelGraph:
     """Read a weight bundle back into an executable graph.
+
+    The blob is read block by block into the graph the manifest describes.
 
     Raises:
         ValueError: on bad magic, a malformed manifest or one that differs
@@ -526,45 +571,37 @@ def load_weights(path) -> ModelGraph:
             match the declared parameter count, or a non-finite parameter.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[: len(BUNDLE_MAGIC)] != BUNDLE_MAGIC:
-        raise ValueError(f"{path}: not a weight bundle (bad magic)")
-    off = len(BUNDLE_MAGIC)
-    mlen = int.from_bytes(raw[off : off + 4], "little")
-    off += 4
-    try:
-        manifest = json.loads(raw[off : off + mlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: corrupt manifest: {exc}") from exc
-    off += mlen
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: manifest is a JSON {type(manifest).__name__}, not an object")
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(len(BUNDLE_MAGIC) + 4)
+        if head[: len(BUNDLE_MAGIC)] != BUNDLE_MAGIC:
+            raise ValueError(f"{path}: not a weight bundle (bad magic)")
+        off = len(head)
+        # at most the rest of the file, so that a corrupt length allocates nothing
+        mlen = min(int.from_bytes(head[len(BUNDLE_MAGIC) :], "little"), size - off)
+        try:
+            manifest = json.loads(fh.read(mlen).decode())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: corrupt manifest: {exc}") from exc
+        off += mlen
+        if not isinstance(manifest, dict):
+            raise ValueError(f"{path}: manifest is a JSON {type(manifest).__name__}, not an object")
 
-    try:
-        graph = build_model(_spec_from_manifest(manifest))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from exc
-    implied = _manifest(graph)
-    for key in sorted(implied.keys() | manifest.keys()):
-        if manifest.get(key) != implied.get(key):
-            raise ValueError(f"{path}: malformed manifest ({key!r} is not what its spec implies)")
+        try:
+            graph = build_model(_spec_from_manifest(manifest))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from exc
+        implied = _manifest(graph)
+        for key in sorted(implied.keys() | manifest.keys()):
+            if manifest.get(key) != implied.get(key):
+                raise ValueError(f"{path}: malformed manifest ({key!r} is not what its spec implies)")
 
-    blob = raw[off:]
-    expected = graph.param_count() * 4
-    if len(blob) != expected:
-        raise ValueError(
-            f"{path}: weight blob is {len(blob)} bytes, expected {expected} "
-            f"({graph.param_count()} float32 parameters)"
-        )
-    params = np.frombuffer(blob, dtype="<f4")
-    if not np.isfinite(params).all():
-        raise ValueError(f"{path}: weight blob has non-finite values")
-    pos = 0
-    for layer in graph.iter_layers():
-        for _, arr in layer.param_arrays():
-            arr[...] = params[pos : pos + arr.size].reshape(arr.shape)
-            pos += arr.size
-    return graph
+        expected = graph.param_count() * 4
+        if size - off != expected:
+            raise ValueError(
+                f"{path}: weight blob is {size - off} bytes, expected {expected} "
+                f"({graph.param_count()} float32 parameters)"
+            )
+        return _fill_params(graph, _blob_source(fh, path))
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,33 @@ def test_evaluate_scores_value_that_is_not_a_finite_float(eval_dirs, tmp_path, c
     assert f"{scores}: line 3, column 'pesq'" in err
 
 
+def test_evaluate_rejects_a_pair_not_at_16_khz(eval_dirs, capsys):
+    enh, ref = eval_dirs
+    x = 0.1 * np.random.default_rng(4).standard_normal(3 * SR)
+    write_wav(enh / "utt3.wav", x, 3 * SR, fmt="float32")
+    write_wav(ref / "utt3.wav", x, 3 * SR, fmt="float32")
+    code, out, err = run(capsys, "evaluate", "--enhanced", str(enh), "--reference", str(ref))
+    assert code == 1 and out == ""
+    last = err.splitlines()[-1]
+    assert last.startswith("error:") and "Traceback" not in err
+    assert str(enh / "utt3.wav") in last and "sample rate 48000" in last
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("side", ["enh", "ref"])
+def test_evaluate_rejects_non_finite_samples(eval_dirs, capsys, bad, side):
+    enh, ref = eval_dirs
+    path = (enh if side == "enh" else ref) / "utt2.wav"
+    x, _ = read_wav(path)
+    x[100] = bad
+    write_wav(path, x, SR, fmt="float32")
+    code, out, err = run(capsys, "evaluate", "--enhanced", str(enh), "--reference", str(ref))
+    assert code == 1 and out == ""
+    last = err.splitlines()[-1]
+    assert last.startswith("error:") and "Traceback" not in err
+    assert str(path) in last and "non-finite" in last
+
+
 # ---------------------------------------------------------------------------
 # selftest
 

@@ -60,8 +60,8 @@ def read_pipeline_wav(path) -> np.ndarray:
     """Read a mono WAV file at the pipeline rate, :data:`cruse.dsp.SAMPLE_RATE`.
 
     Raises:
-        ValueError: naming the path, as :func:`read_wav` does, and for any
-            other sample rate (there is no implicit resampling).
+        ValueError: naming the path, as :func:`read_wav` does, for any other
+            sample rate (there is no implicit resampling) or a NaN or Inf sample.
     """
     samples, rate = read_wav(path)
     if rate != SAMPLE_RATE:
@@ -69,13 +69,16 @@ def read_pipeline_wav(path) -> np.ndarray:
             f"{path}: sample rate {rate} not supported; expected {SAMPLE_RATE} "
             "(no implicit resampling)"
         )
+    if not np.isfinite(samples).all():
+        raise ValueError(f"{path}: non-finite samples (NaN or Inf)")
     return samples
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int, fmt: str = "pcm16") -> int:
     """Write a mono WAV file as 16-bit PCM (default) or 32-bit IEEE float.
 
-    Returns the number of samples clipped to the 16-bit range (0 for float32).
+    Returns the number of samples clipped to the 16-bit range (0 for float32,
+    which stores any value).  A NaN has no 16-bit value: it raises ``ValueError``.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
@@ -85,6 +88,8 @@ def write_wav(path, samples: np.ndarray, sample_rate: int, fmt: str = "pcm16") -
         return 0
     if fmt != "pcm16":
         raise ValueError(f"unknown WAV format {fmt!r}; use 'pcm16' or 'float32'")
+    if np.isnan(samples).any():
+        raise ValueError(f"{path}: NaN samples cannot be written as 16-bit PCM")
     scaled = np.round(samples * PCM16_SCALE)
     clipped = np.clip(scaled, -PCM16_SCALE, PCM16_SCALE - 1)
     wavfile.write(path, sample_rate, clipped.astype(np.int16))

@@ -123,13 +123,6 @@ def _paired_files(enhanced_dir, reference_dir):
     return [(name, enh[name], ref[name]) for name in sorted(enh)]
 
 
-def _read_scored_wav(path) -> np.ndarray:
-    samples = read_pipeline_wav(path)
-    if not np.isfinite(samples).all():
-        raise ValueError(f"{path}: non-finite samples (NaN or Inf) cannot be scored")
-    return samples
-
-
 def cmd_evaluate(args) -> int:
     scores = {}
     if args.scores:
@@ -140,14 +133,17 @@ def cmd_evaluate(args) -> int:
     cfg = StftConfig()
     rows = []
     for name, enh_path, ref_path in _paired_files(args.enhanced, args.reference):
-        est = _read_scored_wav(enh_path)
-        ref = _read_scored_wav(ref_path)
+        est = read_pipeline_wav(enh_path)
+        ref = read_pipeline_wav(ref_path)
         n = min(len(est), len(ref))
         est, ref = est[:n], ref[:n]
-        sisdr = mt.si_sdr(est, ref)
-        cd = mt.cepstral_distance(est, ref, cfg)
-        est_n, ref_n = mt.level_normalize_pair(est, ref)
-        loss = mt.loss_ccmse(stft(ref_n, cfg), stft(est_n, cfg))
+        try:
+            sisdr = mt.si_sdr(est, ref)
+            cd = mt.cepstral_distance(est, ref, cfg)
+            est_n, ref_n = mt.level_normalize_pair(est, ref)
+            loss = mt.loss_ccmse(stft(ref_n, cfg), stft(est_n, cfg))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from exc
         row = {"id": name, "sisdr": sisdr, "cd": cd, "loss": loss}
         ext = scores.get(Path(name).stem) or scores.get(name)
         if ext:
@@ -224,10 +220,10 @@ def _check_block_diagonal_gru():
             big.b_input[rows] = cell.b_input[cell_rows]
             big.b_hidden[rows] = cell.b_hidden[cell_rows]
     rng = np.random.default_rng(11)
-    x = rng.standard_normal(width)
-    h = rng.standard_normal(width)
-    grouped = rnn_block_step(layer, x, [[[h[g * chunk : (g + 1) * chunk]]] for g in range(p)])
-    full, _ = gru_step(big, x, h)
+    x = rng.standard_normal((1, width))
+    h = rng.standard_normal((1, width))
+    grouped = rnn_block_step(layer, x, h.reshape(p, 1, 1, chunk).copy())
+    full = gru_step(big, x, h)
     err = float(np.max(np.abs(grouped - full)))
     return err < 1e-6, f"{p} groups of {chunk}, max difference {err:.2e}"
 

@@ -1,11 +1,12 @@
 """Layer primitives with explicit streaming state.
 
-Every operation here processes one frame, or a block of consecutive frames
-along an optional leading axis; a single frame keeps its own shape.
-Recurrent layers carry their hidden vectors, causal convolutions a short
-input history, and transposed convolutions a pending future-tap
-contribution, so consecutive blocks of any length, frames included, compute
-the same whole-utterance result up to rounding.  Within a block only the
+Every operation here processes a block of consecutive frames along a
+leading axis; one frame is a one-row block.  Each stateful primitive takes
+its layer's state as one array, advances it in place and returns only its
+output block.  Recurrent cells carry their hidden vectors, causal
+convolutions a short input history, and transposed convolutions a pending
+future-tap contribution, so consecutive blocks of any length compute the
+same whole-utterance result up to rounding.  Within a block only the
 recurrent matmul runs frame by frame; everything else is one matmul.
 
 Weight conventions (recorded in saved weight bundles):
@@ -70,27 +71,22 @@ def fc_forward(weight: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarra
     return x @ weight.T + bias
 
 
-def _frames(x: np.ndarray, frame_ndim: int) -> np.ndarray:
-    # A block of frames, adding the leading frame axis to a single frame.
-    return x[None] if x.ndim == frame_ndim else x
+def gru_step(weights: RnnWeights, x: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """GRU updates over a block of frames ``(T, in)``; returns ``(T, w)``.
 
-
-def gru_step(weights: RnnWeights, x: np.ndarray, h: np.ndarray):
-    """GRU updates over one frame ``(in,)`` or a block ``(T, in)``.
-
-    The input projection of the whole block is one matmul; only the
-    recurrent matmul runs frame by frame.  Returns ``(y, h_last)``, where y
-    has the input's leading shape, ``(w,)`` or ``(T, w)``.
+    ``state`` is ``(1, w)``, the hidden vector ``h``, advanced in place to
+    the last frame's.  The input projection of the whole block is one
+    matmul; only the recurrent matmul runs frame by frame.
     """
     w = weights.width
-    frames = _frames(x, 1)
-    if frames.ndim != 2 or frames.shape[1] != weights.in_dims or h.shape != (w,):
+    if x.ndim != 2 or x.shape[1] != weights.in_dims or state.shape != (1, w):
         raise ValueError(
-            f"gru_step expects input {weights.in_dims} and state {w}, "
-            f"got {x.shape} and {h.shape}"
+            f"gru_step expects input (T, {weights.in_dims}) and state (1, {w}), "
+            f"got {x.shape} and {state.shape}"
         )
-    gi = frames @ weights.w_input.T + weights.b_input
-    ys = np.empty((len(frames), w))
+    gi = x @ weights.w_input.T + weights.b_input
+    ys = np.empty((len(x), w))
+    h = state[0]
     for t, g in enumerate(gi):
         # the docstring formulas, in place where a value is not read again
         gh = weights.w_hidden @ h
@@ -105,34 +101,35 @@ def gru_step(weights: RnnWeights, x: np.ndarray, h: np.ndarray):
         z = rz[w:]
         h = np.multiply(z, h, out=ys[t])
         h += (1.0 - z) * n
-    # a row of ys: copied, so that the state does not keep ys alive
-    return (ys if x.ndim == 2 else ys[0]), h.copy()
+    state[0] = h
+    return ys
 
 
-def lstm_step(weights: RnnWeights, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """LSTM updates over one frame ``(in,)`` or a block ``(T, in)``.
+def lstm_step(weights: RnnWeights, x: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """LSTM updates over a block of frames ``(T, in)``; returns ``(T, w)``.
 
-    As :func:`gru_step`; returns ``(y, h_last, c_last)``.
+    As :func:`gru_step`, with ``state`` the ``(2, w)`` vectors ``h, c``.
     """
     w = weights.width
-    frames = _frames(x, 1)
-    if frames.ndim != 2 or frames.shape[1] != weights.in_dims or h.shape != (w,) or c.shape != (w,):
+    if x.ndim != 2 or x.shape[1] != weights.in_dims or state.shape != (2, w):
         raise ValueError(
-            f"lstm_step expects input {weights.in_dims} and state {w}, "
-            f"got {x.shape}, {h.shape}, {c.shape}"
+            f"lstm_step expects input (T, {weights.in_dims}) and state (2, {w}), "
+            f"got {x.shape} and {state.shape}"
         )
-    gi = frames @ weights.w_input.T + weights.b_input
-    ys = np.empty((len(frames), w))
+    gi = x @ weights.w_input.T + weights.b_input
+    ys = np.empty((len(x), w))
+    h, c = state
     for t, g in enumerate(gi):
         gates = g + weights.w_hidden @ h + weights.b_hidden
         i_f = expit(gates[: 2 * w])
-        c = i_f[w:] * c + i_f[:w] * np.tanh(gates[2 * w : 3 * w])
+        c[...] = i_f[w:] * c + i_f[:w] * np.tanh(gates[2 * w : 3 * w])
         h = ys[t] = expit(gates[3 * w :]) * np.tanh(c)
-    return (ys if x.ndim == 2 else ys[0]), h, c
+    state[0] = h
+    return ys
 
 
-def conv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state):
-    """Causal 2-D convolution evaluated at one frame or a block of frames.
+def conv2d_step(weight: np.ndarray, bias: np.ndarray, x: np.ndarray, state: np.ndarray):
+    """Causal 2-D convolution over a block of frames.
 
     Time taps cover the stored previous frame(s) plus the current one; the
     frequency axis is zero-padded by 1 on each side and strided by 2, so an
@@ -143,12 +140,12 @@ def conv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state):
         weight: ``(c_out, c_in, kernel_t, kernel_f)`` with kernel_t in {1, 2}
             and kernel_f at most 3, the padded width.
         bias: ``(c_out,)``.
-        x_now: one input frame ``(c_in, freq)`` or a block ``(T, c_in, freq)``.
-        state: ``(kernel_t - 1, c_in, freq)`` history; ``ConvLayer.zero_state()`` at start.
+        x: a block of input frames ``(T, c_in, freq)``.
+        state: ``(kernel_t - 1, c_in, freq)`` history, ``ConvLayer.zero_state()``
+            at start; advanced in place to the block's last frames.
 
     Returns:
-        ``(out, new_state)`` where out is ``(c_out, freq_out)`` for one frame
-        and ``(T, c_out, freq_out)`` for a block.
+        ``(T, c_out, freq_out)``.
 
     Raises:
         ValueError: on a wider frequency kernel, whose patches would reach
@@ -157,13 +154,12 @@ def conv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state):
     c_out, c_in, kt, kf = weight.shape
     if kf > 3:
         raise ValueError(f"frequency kernel {kf} is wider than the 1-bin padding allows (3)")
-    frames = _frames(x_now, 2)
-    if frames.ndim != 3 or frames.shape[1] != c_in:
-        raise ValueError(f"expected input of ({c_in}, F) or (T, {c_in}, F), got {x_now.shape}")
-    t_len, _, freq = frames.shape
+    if x.ndim != 3 or x.shape[1] != c_in:
+        raise ValueError(f"expected input of (T, {c_in}, F), got {x.shape}")
+    t_len, _, freq = x.shape
     padded = np.zeros((kt - 1 + t_len, c_in, freq + 2))
     padded[: kt - 1, :, 1:-1] = state
-    padded[kt - 1 :, :, 1:-1] = frames
+    padded[kt - 1 :, :, 1:-1] = x
     f_out = (freq - 1) // 2 + 1
     # every strided patch, as columns (c_in, kt, kf) x (T, f_out); the
     # ndarray constructor raises if they reach past the padded buffer
@@ -173,9 +169,8 @@ def conv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state):
     ).reshape(c_in * kt * kf, t_len * f_out)
     out = weight.reshape(c_out, -1) @ patches
     out += bias[:, None]
-    out = out.reshape(c_out, t_len, f_out).transpose(1, 0, 2)
-    # copied, so that the state does not keep the whole block alive
-    return (out if x_now.ndim == 3 else out[0]), padded[t_len:, :, 1:-1].copy()
+    state[...] = padded[t_len:, :, 1:-1]
+    return out.reshape(c_out, t_len, f_out).transpose(1, 0, 2)
 
 
 def _tconv_taps(weight: np.ndarray) -> np.ndarray:
@@ -183,33 +178,31 @@ def _tconv_taps(weight: np.ndarray) -> np.ndarray:
     return weight.transpose(0, 2, 3, 1).reshape(-1, weight.shape[1])
 
 
-def tconv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state, f_target: int):
+def tconv2d_step(weight: np.ndarray, bias: np.ndarray, x: np.ndarray, state, f_target: int):
     """Streaming transposed 2-D convolution (frequency upsampling by 2).
 
     The time kernel of 2 is realized causally: each emitted frame adds the
     second time tap of the previous input frame, and the second tap of the
-    last input frame is returned as the state.  A time kernel of 1 has no
-    such tap and returns the state unchanged.  All taps of a block are one
-    matmul.
+    last input frame becomes the state.  A time kernel of 1 has no such tap
+    and leaves the state unchanged.  All taps of a block are one matmul.
 
     Args:
         weight: ``(c_out, c_in, kernel_t, kernel_f)``.  The matmul takes its
             rows in ``(c_out, kernel_t, kernel_f)`` order: a view of a weight
             stored as that matrix (``build_model`` does), a copy of others.
         bias: ``(c_out,)``.
-        x_now: one input frame ``(c_in, freq)`` or a block ``(T, c_in, freq)``.
-        state: pending ``(c_out, f_target)`` contribution; ``TconvLayer.zero_state()`` at start.
+        x: a block of input frames ``(T, c_in, freq)``.
+        state: pending ``(c_out, f_target)`` contribution,
+            ``TconvLayer.zero_state()`` at start; advanced in place.
         f_target: output frequency width (the mirrored encoder layer's input).
 
     Returns:
-        ``(out, new_state)`` where out is ``(c_out, f_target)`` for one frame
-        and ``(T, c_out, f_target)`` for a block.
+        ``(T, c_out, f_target)``.
     """
     c_out, c_in, kt, kf = weight.shape
-    frames = _frames(x_now, 2)
-    if frames.ndim != 3 or frames.shape[1] != c_in:
-        raise ValueError(f"expected input of ({c_in}, F) or (T, {c_in}, F), got {x_now.shape}")
-    t_len, _, f_in = frames.shape
+    if x.ndim != 3 or x.shape[1] != c_in:
+        raise ValueError(f"expected input of (T, {c_in}, F), got {x.shape}")
+    t_len, _, f_in = x.shape
     full = (f_in - 1) * 2 + kf
     crop = full - f_target
     if crop < 0 or crop > kf - 1:
@@ -218,7 +211,7 @@ def tconv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state,
             f"(full output {full}, max crop {kf - 1})"
         )
     left = crop // 2  # odd crops remove the extra sample at the high end
-    cols = _tconv_taps(weight) @ frames.transpose(1, 0, 2).reshape(c_in, t_len * f_in)
+    cols = _tconv_taps(weight) @ x.transpose(1, 0, 2).reshape(c_in, t_len * f_in)
     cols = cols.reshape(c_out, kt, kf, t_len, f_in)
     up = np.zeros((c_out, kt, t_len, full))
     for k in range(kf):
@@ -234,21 +227,18 @@ def tconv2d_step(weight: np.ndarray, bias: np.ndarray, x_now: np.ndarray, state,
     if kt == 2:
         out[:, 0] += state
         out[:, 1:] += up[:, 1, :-1]
-        state = up[:, 1, -1].copy()  # not a view that keeps the block alive
-    out = out.transpose(1, 0, 2)
-    return (out if x_now.ndim == 3 else out[0]), state
+        state[...] = up[:, 1, -1]
+    return out.transpose(1, 0, 2)
 
 
 def activation_apply(kind: str, x: np.ndarray) -> np.ndarray:
-    """Elementwise activation: relu, leaky_relu (slope 0.2), sigmoid, or none."""
+    """Elementwise activation: relu, leaky_relu (slope 0.2) or sigmoid."""
     if kind == "relu":
         return np.maximum(x, 0.0)
     if kind == "leaky_relu":
         return np.maximum(x, LEAKY_RELU_SLOPE * x)
     if kind == "sigmoid":
         return expit(x)
-    if kind == "none":
-        return x
     raise ValueError(f"unknown activation {kind!r}")
 
 

@@ -243,10 +243,10 @@ class RnnLayer:
         fn = macs_gru if self.kind == "gru" else macs_lstm
         return sum(fn(cell.in_dims, cell.width) for stack in self.groups for cell in stack)
 
-    def zero_state(self) -> list:
-        """Per group and cell, the vectors it carries: ``[h]`` (GRU) or ``[h, c]`` (LSTM)."""
-        n = 1 if self.kind == "gru" else 2
-        return [[[np.zeros(c.width) for _ in range(n)] for c in stack] for stack in self.groups]
+    def zero_state(self) -> np.ndarray:
+        """Zeros ``(P, N, vectors, width)``: per group and cell, ``h`` (GRU) or ``h, c`` (LSTM)."""
+        vectors = 1 if self.kind == "gru" else 2
+        return np.zeros((len(self.groups), len(self.groups[0]), vectors, self.groups[0][0].width))
 
 
 @dataclass
@@ -609,7 +609,8 @@ def load_weights(path) -> ModelGraph:
 
 
 class StreamState:
-    """Per-stream carryover of each stateful layer, from its ``zero_state()``.
+    """Per-stream carryover of each stateful layer: one array per layer, from
+    its ``zero_state()``, that inference advances in place.
 
     One instance per audio stream; never share between concurrent streams.
     """
@@ -619,42 +620,44 @@ class StreamState:
         self.layer_states = {layer.name: layer.zero_state() for layer in stateful}
 
 
-def rnn_block_step(layer: RnnLayer, x: np.ndarray, states) -> np.ndarray:
-    """Step a grouped recurrent block over one frame or a block of frames.
+def rnn_block_step(layer: RnnLayer, x: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Step a grouped recurrent block over a block of frames ``(T, width)``.
 
-    ``x`` is ``(width,)`` or ``(T, width)``.  Its last axis is split into P
-    equal contiguous chunks, and group g runs its own stack of N cells over
-    chunk g; the group outputs are concatenated in order.  This equals a
-    stack of N cells whose gate matrices are block-diagonal with the P group
-    matrices (``cruse selftest`` checks it).
+    The last axis of ``x`` is split into P equal contiguous chunks, and
+    group g runs its own stack of N cells over chunk g; the group outputs
+    are concatenated in order.  This equals a stack of N cells whose gate
+    matrices are block-diagonal with the P group matrices (``cruse
+    selftest`` checks it).
 
-    ``states[g][n]`` is the list of vectors cell n of group g carries,
-    ``[h]`` for a GRU and ``[h, c]`` for an LSTM; it is advanced in place.
+    ``states`` is the layer's ``zero_state()`` array, or one advanced from
+    it: ``states[g, n]`` holds the vectors cell n of group g carries, ``h``
+    for a GRU and ``h, c`` for an LSTM.  It is advanced in place.
 
     Raises:
-        ValueError: when the input width is not divisible by P.
+        ValueError: unless ``x`` is 2-D with a width divisible by P.
     """
     p = len(layer.groups)
-    if x.shape[-1] % p:
-        raise ValueError(f"bottleneck width {x.shape[-1]} not divisible by {p} groups")
-    chunk = x.shape[-1] // p
+    if x.ndim != 2 or x.shape[1] % p:
+        raise ValueError(f"expected (T, width) with width divisible by {p} groups, got {x.shape}")
+    chunk = x.shape[1] // p
     step = gru_step if layer.kind == "gru" else lstm_step
     outs = []
-    for g, (stack, carried) in enumerate(zip(layer.groups, states)):
-        y = x[..., g * chunk : (g + 1) * chunk]
-        for cell, vectors in zip(stack, carried):
-            y, *vectors[:] = step(cell, y, *vectors)
+    for g, stack in enumerate(layer.groups):
+        y = x[:, g * chunk : (g + 1) * chunk]
+        for n, cell in enumerate(stack):
+            y = step(cell, y, states[g, n])
         outs.append(y)
-    return np.concatenate(outs, axis=-1)
+    return np.concatenate(outs, axis=1)
 
 
 def infer_frame(graph: ModelGraph, state: StreamState, features: np.ndarray) -> np.ndarray:
     """One forward pass over a feature frame ``(bins,)`` or a block of
     consecutive frames ``(T, bins)``: the one model body.
 
-    Advances ``state`` in place and returns per-bin suppression gains of the
-    shape of ``features``, each strictly inside (0, 1).  Within a block every
-    layer but the recurrent matmul is one matmul over all frames.
+    Advances the arrays of ``state`` in place and returns per-bin
+    suppression gains of the shape of ``features``, each strictly inside
+    (0, 1).  Within a block every layer but the recurrent matmul is one
+    matmul over all frames.
     """
     k = graph.spec.num_bins
     features = np.asarray(features, dtype=np.float64)
@@ -675,7 +678,7 @@ def infer_frame(graph: ModelGraph, state: StreamState, features: np.ndarray) -> 
     x = x[:, None, :]  # 1 input channel
     enc_outs = []
     for layer in graph.encoder:
-        y, ls[layer.name] = conv2d_step(layer.weight, layer.bias, x, ls[layer.name])
+        y = conv2d_step(layer.weight, layer.bias, x, ls[layer.name])
         x = activation_apply(layer.activation, y)
         enc_outs.append(x)
 
@@ -686,7 +689,7 @@ def infer_frame(graph: ModelGraph, state: StreamState, features: np.ndarray) -> 
     for j, layer in enumerate(graph.decoder):
         skip = graph.skips[j]
         x = skip_combine(skip.kind, enc_outs.pop(), x, skip.scale, skip.bias)
-        y, ls[layer.name] = tconv2d_step(layer.weight, layer.bias, x, ls[layer.name], layer.f_target)
+        y = tconv2d_step(layer.weight, layer.bias, x, ls[layer.name], layer.f_target)
         x = activation_apply(layer.activation, y)
     return x[:, 0].reshape(features.shape)
 

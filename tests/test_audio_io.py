@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from cruse.audio_io import read_wav, write_wav
+from cruse.audio_io import read_pipeline_wav, read_wav, write_wav
 
 
 def test_pcm16_roundtrip(tmp_path):
@@ -36,11 +36,31 @@ def test_pcm16_clips_out_of_range(tmp_path):
 
 def test_pcm16_write_returns_the_number_of_clipped_samples(tmp_path):
     # 1.0 and 0.99999 round to 32768, one above the largest 16-bit value;
-    # -1.0 is representable and -1.00002 rounds to -32769
-    x = np.array([0.5, 1.0, -1.0, 0.99999, 2.0, -2.0, -1.00002, 0.0, -0.3])
-    assert write_wav(tmp_path / "x.wav", x, 16000) == 5
+    # -1.0 is representable and -1.00002 rounds to -32769; infinities clip
+    x = np.array([0.5, 1.0, -1.0, 0.99999, 2.0, -2.0, -1.00002, 0.0, -0.3, np.inf, -np.inf])
+    assert write_wav(tmp_path / "x.wav", x, 16000) == 7
     assert write_wav(tmp_path / "y.wav", x, 16000, fmt="float32") == 0
     assert write_wav(tmp_path / "z.wav", np.zeros(10), 16000) == 0
+
+
+def test_pcm16_write_rejects_nan_naming_the_path(tmp_path):
+    path = tmp_path / "x.wav"
+    x = np.array([0.5, np.nan, np.inf])
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        write_wav(path, x, 16000)
+    assert not path.exists()
+    assert write_wav(path, x, 16000, fmt="float32") == 0  # float32 stores any value
+    np.testing.assert_array_equal(read_wav(path)[0], x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_pipeline_read_rejects_non_finite_samples_naming_the_path(tmp_path, bad):
+    path = tmp_path / "x.wav"
+    x = np.zeros(100)
+    x[7] = bad
+    write_wav(path, x, 16000, fmt="float32")
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*non-finite"):
+        read_pipeline_wav(path)
 
 
 def test_rejects_stereo(tmp_path):

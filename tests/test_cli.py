@@ -116,6 +116,20 @@ def test_enhance_rejects_wrong_sample_rate(tmp_path, capsys):
     assert "sample rate" in err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_enhance_rejects_non_finite_samples(tmp_path, capsys, bad):
+    src = tmp_path / "in.wav"
+    dst = tmp_path / "out.wav"
+    x = 0.1 * np.random.default_rng(3).standard_normal(SR)
+    x[100] = bad
+    write_wav(src, x, SR, fmt="float32")
+    code, _, err = run(capsys, "enhance", str(src), str(dst), "--model", "NSnet2-16")
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(src) in err and "non-finite" in err
+    assert not dst.exists()
+
+
 # ---------------------------------------------------------------------------
 # profile
 
@@ -196,6 +210,28 @@ def test_datagen_recipe_log_snr_distribution(tmp_path, capsys, asset_dir):
     snrs = np.array([json.loads(l)["snr_db"] for l in lines])
     assert abs(snrs.mean() - 5.0) < 1.0
     assert not list(out.glob("*.wav"))
+
+
+def test_datagen_rejects_a_non_finite_asset(tmp_path, capsys, asset_dir):
+    speech, _ = read_wav(asset_dir / "speech_dry1.wav")
+    speech[1000] = np.nan
+    write_wav(tmp_path / "speech_nan.wav", speech, SR, fmt="float32")
+    for name in ("noise_white.wav", "rir_delta.wav"):
+        (tmp_path / name).write_bytes((asset_dir / name).read_bytes())
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "path,kind,t60,c50\n"
+        "speech_nan.wav,speech,0.12,22.0\n"
+        "noise_white.wav,noise,,\n"
+        "rir_delta.wav,rir,0.05,40.0\n"
+    )
+    code, _, err = run(
+        capsys, "datagen", "--manifest", str(manifest), "--count", "2",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(tmp_path / "speech_nan.wav") in err and "non-finite" in err
 
 
 def test_datagen_missing_manifest(tmp_path, capsys):
@@ -334,6 +370,24 @@ def test_evaluate_rejects_non_finite_samples(eval_dirs, capsys, bad, side):
     last = err.splitlines()[-1]
     assert last.startswith("error:") and "Traceback" not in err
     assert str(path) in last and "non-finite" in last
+
+
+@pytest.mark.parametrize(
+    "enh_x, ref_x, message",
+    [
+        (0.1 * np.ones(SR), np.zeros(SR), "silent reference"),
+        (0.1 * np.ones(100), 0.1 * np.ones(100), "shorter than one hop"),
+    ],
+    ids=["silent-reference", "100-samples"],
+)
+def test_evaluate_names_a_pair_that_cannot_be_scored(eval_dirs, capsys, enh_x, ref_x, message):
+    enh, ref = eval_dirs
+    write_wav(enh / "utt3.wav", enh_x, SR, fmt="float32")
+    write_wav(ref / "utt3.wav", ref_x, SR, fmt="float32")
+    code, out, err = run(capsys, "evaluate", "--enhanced", str(enh), "--reference", str(ref))
+    assert code == 1 and out == ""
+    last = err.splitlines()[-1]
+    assert last.startswith("error: utt3.wav: ") and message in last and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

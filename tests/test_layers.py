@@ -161,17 +161,19 @@ def test_fc_shape_mismatch():
 
 def test_gru_zero_weights_gives_zero_state():
     w = zero_rnn_weights(GRU_GATES, 3, 4)
-    y, h = gru_step(w, np.ones(3), np.zeros(4))
-    np.testing.assert_array_equal(y, np.zeros(4))
-    np.testing.assert_array_equal(h, np.zeros(4))
+    state = np.zeros((1, 4))
+    y = gru_step(w, np.ones((1, 3)), state)
+    np.testing.assert_array_equal(y, np.zeros((1, 4)))
+    np.testing.assert_array_equal(state, np.zeros((1, 4)))
 
 
 def test_gru_saturated_update_gate_passes_memory():
     w = zero_rnn_weights(GRU_GATES, 3, 4)
     w.b_input[4:8] = 60.0  # z rows saturate to 1
-    h0 = np.array([0.3, -0.7, 1.5, 0.01])
-    _, h = gru_step(w, np.zeros(3), h0)
-    np.testing.assert_allclose(h, h0, atol=1e-12)
+    h0 = np.array([[0.3, -0.7, 1.5, 0.01]])
+    state = h0.copy()
+    gru_step(w, np.zeros((1, 3)), state)
+    np.testing.assert_allclose(state, h0, atol=1e-12)
 
 
 def test_gru_matches_scalar_oracle():
@@ -179,19 +181,22 @@ def test_gru_matches_scalar_oracle():
     w = random_gru(rng, 3, 4)
     x = rng.standard_normal(3)
     h = rng.standard_normal(4)
-    y, h_new = gru_step(w, x, h)
-    np.testing.assert_allclose(h_new, gru_oracle(w, x, h), atol=1e-12)
-    np.testing.assert_array_equal(y, h_new)
+    state = h[None].copy()
+    y = gru_step(w, x[None], state)
+    np.testing.assert_allclose(state[0], gru_oracle(w, x, h), atol=1e-12)
+    np.testing.assert_array_equal(y, state)
 
 
 def test_gru_shape_mismatch():
     with pytest.raises(ValueError):
-        gru_step(zero_rnn_weights(GRU_GATES, 3, 4), np.zeros(5), np.zeros(4))
+        gru_step(zero_rnn_weights(GRU_GATES, 3, 4), np.zeros((1, 5)), np.zeros((1, 4)))
 
 
 def test_lstm_zero_weights_gives_zero_state():
     w = zero_rnn_weights(LSTM_GATES, 3, 4)
-    y, h, c = lstm_step(w, np.ones(3), np.zeros(4), np.zeros(4))
+    state = np.zeros((2, 4))
+    lstm_step(w, np.ones((1, 3)), state)
+    h, c = state
     np.testing.assert_array_equal(h, np.zeros(4))
     np.testing.assert_array_equal(c, np.zeros(4))
 
@@ -201,8 +206,9 @@ def test_lstm_gate_limits_preserve_cell():
     w.b_input[3:6] = 60.0   # forget gate -> 1
     w.b_input[0:3] = -60.0  # input gate -> 0
     c0 = np.array([0.5, -1.0, 2.0])
-    _, _, c = lstm_step(w, np.ones(2), np.zeros(3), c0)
-    np.testing.assert_allclose(c, c0, atol=1e-12)
+    state = np.stack([np.zeros(3), c0])
+    lstm_step(w, np.ones((1, 2)), state)
+    np.testing.assert_allclose(state[1], c0, atol=1e-12)
 
 
 def test_lstm_matches_scalar_oracle():
@@ -211,24 +217,26 @@ def test_lstm_matches_scalar_oracle():
     x = rng.standard_normal(3)
     h = rng.standard_normal(4)
     c = rng.standard_normal(4)
-    y, h_new, c_new = lstm_step(w, x, h, c)
+    state = np.stack([h, c])
+    y = lstm_step(w, x[None], state)
     h_ref, c_ref = lstm_oracle(w, x, h, c)
-    np.testing.assert_allclose(h_new, h_ref, atol=1e-12)
-    np.testing.assert_allclose(c_new, c_ref, atol=1e-12)
+    np.testing.assert_allclose(state[0], h_ref, atol=1e-12)
+    np.testing.assert_allclose(state[1], c_ref, atol=1e-12)
+    np.testing.assert_array_equal(y[0], state[0])
 
 
 def test_recurrent_streaming_matches_sequential_scan():
     rng = np.random.default_rng(3)
     w = random_gru(rng, 4, 5)
     xs = rng.standard_normal((12, 4))
-    h = np.zeros(5)
+    h = np.zeros((1, 5))
     outs = []
     for x in xs:
-        _, h = gru_step(w, x, h)
-        outs.append(h)
-    h2 = np.zeros(5)
+        gru_step(w, x[None], h)
+        outs.append(h.copy())
+    h2 = np.zeros((1, 5))
     for t, x in enumerate(xs):
-        _, h2 = gru_step(w, x, h2)
+        gru_step(w, x[None], h2)
         np.testing.assert_array_equal(h2, outs[t])
 
 
@@ -238,22 +246,41 @@ def test_recurrent_block_equals_frame_loop(kind):
     step = gru_step if kind == "gru" else lstm_step
     w = (random_gru if kind == "gru" else random_lstm)(rng, 4, 5)
     xs = rng.standard_normal((9, 4))
-    start = [rng.standard_normal(5) for _ in range(1 if kind == "gru" else 2)]
-    looped, carried = [], start
+    start = np.array([rng.standard_normal(5) for _ in range(1 if kind == "gru" else 2)])
+    looped, carried = [], start.copy()
     for x in xs:
-        y, *carried = step(w, x, *carried)
-        looped.append(y)
-    ys, *last = step(w, xs, *start)
+        looped.append(step(w, x[None], carried)[0])
+    last = start.copy()
+    ys = step(w, xs, last)
     assert ys.shape == (9, 5)
     np.testing.assert_allclose(ys, looped, rtol=0, atol=1e-12)
-    for got, want in zip(last, carried):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(last, carried, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(ys[-1], last[0])
 
 
 def test_recurrent_block_rejects_wrong_rank():
     with pytest.raises(ValueError):
-        gru_step(zero_rnn_weights(GRU_GATES, 3, 4), np.zeros((2, 2, 3)), np.zeros(4))
+        gru_step(zero_rnn_weights(GRU_GATES, 3, 4), np.zeros((2, 2, 3)), np.zeros((1, 4)))
+
+
+@pytest.mark.parametrize("primitive", ["gru", "lstm", "conv", "tconv", "rnn_block"])
+def test_primitives_reject_a_frame_without_its_block_axis(primitive):
+    calls = {
+        "gru": lambda: gru_step(zero_rnn_weights(GRU_GATES, 3, 4), np.zeros(3), np.zeros((1, 4))),
+        "lstm": lambda: lstm_step(zero_rnn_weights(LSTM_GATES, 3, 4), np.zeros(3), np.zeros((2, 4))),
+        "conv": lambda: conv2d_step(
+            np.zeros((3, 2, 2, 3)), np.zeros(3), np.zeros((2, 8)), np.zeros((1, 2, 8))
+        ),
+        "tconv": lambda: tconv2d_step(
+            np.zeros((2, 3, 2, 3)), np.zeros(2), np.zeros((3, 11)), np.zeros((2, 21)), 21
+        ),
+        "rnn_block": lambda: rnn_block_step(
+            RnnLayer("rnn", "gru", [[zero_rnn_weights(GRU_GATES, 3, 3)]]), np.zeros(3),
+            np.zeros((1, 1, 1, 3)),
+        ),
+    }
+    with pytest.raises(ValueError, match=r"\(T, "):
+        calls[primitive]()
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +289,17 @@ def test_recurrent_block_rejects_wrong_rank():
 
 def test_conv_zero_kernel_bias_only():
     w = np.zeros((3, 2, 2, 3))
-    out, _ = conv2d_step(w, np.ones(3), np.zeros((2, 8)), np.zeros((1, 2, 8)))
-    assert out.shape == (3, 4)
-    np.testing.assert_array_equal(out, np.ones((3, 4)))
+    out = conv2d_step(w, np.ones(3), np.zeros((1, 2, 8)), np.zeros((1, 2, 8)))
+    assert out.shape == (1, 3, 4)
+    np.testing.assert_array_equal(out, np.ones((1, 3, 4)))
 
 
 def test_conv_delta_kernel_copies_strided_input():
     w = np.zeros((1, 1, 2, 3))
     w[0, 0, 1, 1] = 1.0  # current frame, center tap
-    x = np.arange(8.0)[None, :]
-    out, _ = conv2d_step(w, np.zeros(1), x, np.zeros((1, 1, 8)))
-    np.testing.assert_array_equal(out[0], x[0, ::2])
+    x = np.arange(8.0)[None, None, :]
+    out = conv2d_step(w, np.zeros(1), x, np.zeros((1, 1, 8)))
+    np.testing.assert_array_equal(out[0, 0], x[0, 0, ::2])
 
 
 @pytest.mark.parametrize("freq", [7, 8])
@@ -291,8 +318,8 @@ def test_conv_streaming_matches_batch_oracle():
     expected = conv_batch_oracle(w, b, frames)
     state = np.zeros((1, 1, 8))
     for t in range(6):
-        out, state = conv2d_step(w, b, frames[t], state)
-        np.testing.assert_allclose(out, expected[t], atol=1e-12)
+        out = conv2d_step(w, b, frames[t : t + 1], state)
+        np.testing.assert_allclose(out[0], expected[t], atol=1e-12)
 
 
 def test_conv_first_frame_equals_zero_padded_batch():
@@ -300,8 +327,8 @@ def test_conv_first_frame_equals_zero_padded_batch():
     w = rng.standard_normal((3, 2, 2, 3))
     b = rng.standard_normal(3)
     x = rng.standard_normal((2, 9))
-    out, _ = conv2d_step(w, b, x, np.zeros((1, 2, 9)))
-    np.testing.assert_allclose(out, conv_batch_oracle(w, b, x[None])[0], atol=1e-12)
+    out = conv2d_step(w, b, x[None], np.zeros((1, 2, 9)))
+    np.testing.assert_allclose(out[0], conv_batch_oracle(w, b, x[None])[0], atol=1e-12)
 
 
 def test_conv_1d_kernel_needs_no_state():
@@ -312,8 +339,8 @@ def test_conv_1d_kernel_needs_no_state():
     expected = conv_batch_oracle(w, b, frames)
     state = np.zeros((0, 1, 8))
     for t in range(3):
-        out, state = conv2d_step(w, b, frames[t], state)
-        np.testing.assert_allclose(out, expected[t], atol=1e-12)
+        out = conv2d_step(w, b, frames[t : t + 1], state)
+        np.testing.assert_allclose(out[0], expected[t], atol=1e-12)
 
 
 @pytest.mark.parametrize("kt", [1, 2])
@@ -323,24 +350,26 @@ def test_conv_blocks_match_batch_oracle(kt):
     b = rng.standard_normal(3)
     frames = rng.standard_normal((7, 2, 9))
     expected = conv_batch_oracle(w, b, frames)
-    whole, _ = conv2d_step(w, b, frames, np.zeros((kt - 1, 2, 9)))
+    whole = conv2d_step(w, b, frames, np.zeros((kt - 1, 2, 9)))
     np.testing.assert_allclose(whole, expected, atol=1e-12)
-    head, state = conv2d_step(w, b, frames[:4], np.zeros((kt - 1, 2, 9)))
-    tail, _ = conv2d_step(w, b, frames[4:], state)
+    state = np.zeros((kt - 1, 2, 9))
+    head = conv2d_step(w, b, frames[:4], state)
+    tail = conv2d_step(w, b, frames[4:], state)
     np.testing.assert_allclose(np.concatenate([head, tail]), expected, atol=1e-12)
 
 
 def test_conv_channel_mismatch():
     with pytest.raises(ValueError):
-        conv2d_step(np.zeros((2, 3, 2, 3)), np.zeros(2), np.zeros((1, 8)), np.zeros((1, 3, 8)))
+        conv2d_step(np.zeros((2, 3, 2, 3)), np.zeros(2), np.zeros((1, 1, 8)), np.zeros((1, 3, 8)))
 
 
 def test_tconv_zero_kernel_constant_output():
     w = np.zeros((2, 3, 2, 3))
-    out, state = tconv2d_step(w, np.array([1.5, -0.5]), np.zeros((3, 11)), np.zeros((2, 21)), 21)
-    assert out.shape == (2, 21)
-    np.testing.assert_array_equal(out[0], np.full(21, 1.5))
-    np.testing.assert_array_equal(out[1], np.full(21, -0.5))
+    state = np.zeros((2, 21))
+    out = tconv2d_step(w, np.array([1.5, -0.5]), np.zeros((1, 3, 11)), state, 21)
+    assert out.shape == (1, 2, 21)
+    np.testing.assert_array_equal(out[0, 0], np.full(21, 1.5))
+    np.testing.assert_array_equal(out[0, 1], np.full(21, -0.5))
     np.testing.assert_array_equal(state, np.zeros((2, 21)))
 
 
@@ -352,8 +381,8 @@ def test_tconv_streaming_matches_batch_oracle():
     expected = tconv_batch_oracle(w, b, frames, 11)
     state = np.zeros((1, 11))
     for t in range(5):
-        out, state = tconv2d_step(w, b, frames[t], state, 11)
-        np.testing.assert_allclose(out, expected[t], atol=1e-12)
+        out = tconv2d_step(w, b, frames[t : t + 1], state, 11)
+        np.testing.assert_allclose(out[0], expected[t], atol=1e-12)
 
 
 @pytest.mark.parametrize("kt", [1, 2])
@@ -363,28 +392,29 @@ def test_tconv_blocks_match_batch_oracle(kt):
     b = rng.standard_normal(2)
     frames = rng.standard_normal((7, 3, 6))
     expected = tconv_batch_oracle(w, b, frames, 11)
-    whole, _ = tconv2d_step(w, b, frames, np.zeros((2, 11)), 11)
+    whole = tconv2d_step(w, b, frames, np.zeros((2, 11)), 11)
     np.testing.assert_allclose(whole, expected, atol=1e-12)
-    head, state = tconv2d_step(w, b, frames[:4], np.zeros((2, 11)), 11)
-    tail, _ = tconv2d_step(w, b, frames[4:], state, 11)
+    state = np.zeros((2, 11))
+    head = tconv2d_step(w, b, frames[:4], state, 11)
+    tail = tconv2d_step(w, b, frames[4:], state, 11)
     np.testing.assert_allclose(np.concatenate([head, tail]), expected, atol=1e-12)
 
 
 def test_tconv_upsampling_shapes():
     # decoder chain mirror: 11 -> 21 -> 41 -> 81 -> 161
     for f_in, f_target in [(11, 21), (21, 41), (41, 81), (81, 161)]:
-        out, _ = tconv2d_step(
-            np.zeros((1, 1, 2, 3)), np.zeros(1), np.zeros((1, f_in)),
+        out = tconv2d_step(
+            np.zeros((1, 1, 2, 3)), np.zeros(1), np.zeros((1, 1, f_in)),
             np.zeros((1, f_target)), f_target,
         )
-        assert out.shape == (1, f_target)
+        assert out.shape == (1, 1, f_target)
 
 
 def test_tconv_invalid_target_width():
     w = np.zeros((1, 1, 2, 3))
     for bad in (24, 18):
-        with pytest.raises(ValueError):
-            tconv2d_step(w, np.zeros(1), np.zeros((1, 11)), np.zeros((1, bad)), bad)
+        with pytest.raises(ValueError, match="unreachable"):
+            tconv2d_step(w, np.zeros(1), np.zeros((1, 1, 11)), np.zeros((1, bad)), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -396,25 +426,25 @@ def test_activations():
     np.testing.assert_array_equal(activation_apply("relu", x), [0.0, 0.0, 2.0])
     np.testing.assert_array_equal(activation_apply("leaky_relu", x), [-0.2, 0.0, 2.0])
     assert activation_apply("sigmoid", np.array([0.0]))[0] == 0.5
-    np.testing.assert_array_equal(activation_apply("none", x), x)
-    with pytest.raises(ValueError):
-        activation_apply("tanh", x)
+    for kind in ("tanh", "none"):  # no layer is built with either
+        with pytest.raises(ValueError):
+            activation_apply(kind, x)
 
 
 def test_parallel_rnn_single_group_is_plain_gru():
     rng = np.random.default_rng(8)
     w = random_gru(rng, 6, 6)
-    x = rng.standard_normal(6)
-    h = rng.standard_normal(6)
-    y_grouped = rnn_block_step(RnnLayer("rnn", "gru", [[w]]), x, [[[h]]])
-    y_plain, _ = gru_step(w, x, h)
+    x = rng.standard_normal((1, 6))
+    h = rng.standard_normal((1, 6))
+    y_grouped = rnn_block_step(RnnLayer("rnn", "gru", [[w]]), x, h.reshape(1, 1, 1, 6).copy())
+    y_plain = gru_step(w, x, h)
     np.testing.assert_array_equal(y_grouped, y_plain)
 
 
 def test_parallel_rnn_zero_group_outputs_zero():
     rng = np.random.default_rng(9)
     layer = RnnLayer("rnn", "gru", [[random_gru(rng, 3, 3)], [zero_rnn_weights(GRU_GATES, 3, 3)]])
-    y = rnn_block_step(layer, rng.standard_normal(6), [[[np.zeros(3)]], [[np.zeros(3)]]])
+    y = rnn_block_step(layer, rng.standard_normal((1, 6)), layer.zero_state())[0]
     np.testing.assert_array_equal(y[3:], np.zeros(3))
     assert np.any(y[:3] != 0)
 
@@ -423,12 +453,9 @@ def test_parallel_rnn_block_equals_frame_loop():
     rng = np.random.default_rng(10)
     layer = RnnLayer("rnn", "lstm", [[random_lstm(rng, 3, 3)], [random_lstm(rng, 3, 3)]])
     xs = rng.standard_normal((5, 6))
-
-    def fresh():
-        return [[[np.zeros(3), np.zeros(3)]] for _ in range(2)]
-
-    frame_states, block_states = fresh(), fresh()
-    looped = [rnn_block_step(layer, x, frame_states) for x in xs]
+    frame_states, block_states = layer.zero_state(), layer.zero_state()
+    assert frame_states.shape == (2, 1, 2, 3)
+    looped = np.concatenate([rnn_block_step(layer, x[None], frame_states) for x in xs])
     np.testing.assert_allclose(rnn_block_step(layer, xs, block_states), looped, rtol=0, atol=1e-12)
     np.testing.assert_allclose(block_states, frame_states, rtol=0, atol=1e-12)
 
@@ -436,8 +463,8 @@ def test_parallel_rnn_block_equals_frame_loop():
 def test_parallel_rnn_indivisible_length_errors():
     rng = np.random.default_rng(11)
     layer = RnnLayer("rnn", "gru", [[random_gru(rng, 2, 2)]] * 3)
-    with pytest.raises(ValueError):
-        rnn_block_step(layer, np.zeros(7), [[[np.zeros(2)]]] * 3)
+    with pytest.raises(ValueError, match="divisible"):
+        rnn_block_step(layer, np.zeros((1, 7)), layer.zero_state())
 
 
 def test_skip_combine_variants():

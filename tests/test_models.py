@@ -264,12 +264,12 @@ def test_tconv_weights_are_stored_as_their_tap_matrix(tmp_path, source):
         c_out, c_in = copy.shape[:2]
         for t_len in (1, 64):
             x = rng.standard_normal((t_len, c_in, layer.in_freq))
-            x = x[0] if t_len == 1 else x
             state = rng.standard_normal((c_out, layer.f_target))
-            out, new_state = tconv2d_step(layer.weight, layer.bias, x, state, layer.f_target)
-            ref_out, ref_state = tconv2d_step(copy, layer.bias, x, state, layer.f_target)
+            ref_state = state.copy()
+            out = tconv2d_step(layer.weight, layer.bias, x, state, layer.f_target)
+            ref_out = tconv2d_step(copy, layer.bias, x, ref_state, layer.f_target)
             np.testing.assert_array_equal(out, ref_out)
-            np.testing.assert_array_equal(new_state, ref_state)
+            np.testing.assert_array_equal(state, ref_state)
 
 
 def test_bundle_truncated_blob_errors(tmp_path):
@@ -384,6 +384,19 @@ def test_block_of_frames_matches_single_frames():
     block = infer_frame(graph, StreamState(graph), feats)
     assert block.shape == feats.shape
     np.testing.assert_allclose(block, looped, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["NSnet2-32", "CRUSE3-32-1xGRU2", "CRUSE3-32-2xLSTM2"])
+def test_infer_frame_advances_each_state_array_in_place(name):
+    graph = init_test_weights(build_model(parse_model_name(name)), 7)
+    state = StreamState(graph)
+    arrays = dict(state.layer_states)
+    feats = np.random.default_rng(7).standard_normal((4, 161))
+    for block in (feats[0], feats[1:3], feats[3]):
+        infer_frame(graph, state, block)
+        for key, array in arrays.items():
+            assert state.layer_states[key] is array, key
+            assert np.all(array != 0), key  # advanced from its zeros
 
 
 def test_causality_under_perturbation():

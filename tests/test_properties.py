@@ -2,8 +2,9 @@
 
 ``infer_utterance`` runs blocks of ``BLOCK_FRAMES`` frames, so utterances of
 up to 150 frames cross one or two block boundaries.  Every block leaves each
-layer's state with the shapes and dtypes of that layer's ``zero_state()``.  The examples come from
-the derandomized profile registered in ``conftest.py``.
+layer's state array with the shape and dtype of that layer's
+``zero_state()``.  The examples come from the derandomized profile
+registered in ``conftest.py``.
 """
 
 from dataclasses import replace
@@ -56,13 +57,6 @@ def _case(spec, seed, frames):
     return graph, 3.0 * rng.standard_normal((frames, spec.num_bins)), rng
 
 
-def _arrays(state):
-    # the arrays of one layer's state, in order: an array, or nested lists of them
-    if isinstance(state, np.ndarray):
-        return [(state.shape, state.dtype)]
-    return [leaf for part in state for leaf in _arrays(part)]
-
-
 @settings(max_examples=25)
 @given(SPECS, st.integers(0, 2**32 - 1), st.integers(0, 150))
 def test_utterance_equals_frame_loop(spec, seed, frames):
@@ -73,7 +67,8 @@ def test_utterance_equals_frame_loop(spec, seed, frames):
     for f in feats:
         looped.append(infer_frame(graph, state, f))
         for name, carried in state.layer_states.items():
-            assert _arrays(carried) == _arrays(layers[name].zero_state()), name
+            zero = layers[name].zero_state()
+            assert (carried.shape, carried.dtype) == (zero.shape, zero.dtype), name
     looped = np.array(looped).reshape(feats.shape)
     np.testing.assert_allclose(infer_utterance(graph, feats), looped, rtol=0, atol=1e-12)
 

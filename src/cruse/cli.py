@@ -19,7 +19,7 @@ from . import datagen as dg
 from . import metrics as mt
 from .audio_io import read_pipeline_wav, write_wav
 from .dsp import SAMPLE_RATE, StftConfig, istft, make_window, stft
-from .layers import GRU_GATES, gru_step, zero_rnn_weights
+from .layers import gru_step, lstm_step
 from .macs import macs_gru, macs_lstm, macs_model
 from .models import (
     SKIP_KINDS,
@@ -202,30 +202,41 @@ def _check_streaming_equivalence():
     return err < 1e-6, f"max gain difference {err:.2e}"
 
 
-def _check_block_diagonal_gru():
-    # the P groups of a seeded bottleneck against one block-diagonal GRU
-    graph = init_test_weights(build_model(parse_model_name("CRUSE4-64-1xGRU4")), 11)
-    layer = graph.bottleneck
-    cells = [stack[0] for stack in layer.groups]
-    p, chunk = len(cells), cells[0].width
-    width = p * chunk
-    big = zero_rnn_weights(GRU_GATES, width, width)
-    for g, cell in enumerate(cells):
-        lo = g * chunk
-        for gate in range(GRU_GATES):
-            rows = slice(gate * width + lo, gate * width + lo + chunk)
-            cell_rows = slice(gate * chunk, (gate + 1) * chunk)
-            big.w_input[rows, lo : lo + chunk] = cell.w_input[cell_rows]
-            big.w_hidden[rows, lo : lo + chunk] = cell.w_hidden[cell_rows]
-            big.b_input[rows] = cell.b_input[cell_rows]
-            big.b_hidden[rows] = cell.b_hidden[cell_rows]
+def _block_diagonal_cell(layer, n: int):
+    """Cell n of every group of ``layer`` as one cell of the whole width.
+
+    Returns ``(w_input, w_hidden, b_input, b_hidden)`` for ``gru_step`` or
+    ``lstm_step``: each gate's matrices are block-diagonal with the P group
+    matrices, and its biases the group biases in order.
+    """
+    p, _, rows, w = layer.w_hidden.shape
+    gates = rows // w
+    mats = []
+    for stacked in (layer.w_input, layer.w_hidden):
+        big = np.zeros((gates, p, w, p, w))
+        for g in range(p):
+            big[:, g, :, g] = stacked[g, n].reshape(gates, w, w)
+        mats.append(big.reshape(gates * p * w, p * w))
+    biases = [b[:, n].reshape(p, gates, w).transpose(1, 0, 2).ravel()
+              for b in (layer.b_input, layer.b_hidden)]
+    return (*mats, *biases)
+
+
+def _check_block_diagonal(name: str):
+    """The P groups of a seeded bottleneck against its block-diagonal cells."""
+    layer = init_test_weights(build_model(parse_model_name(name)), 11).bottleneck
     rng = np.random.default_rng(11)
-    x = rng.standard_normal((1, width))
-    h = rng.standard_normal((1, width))
-    grouped = rnn_block_step(layer, x, h.reshape(p, 1, 1, chunk).copy())
-    full = gru_step(big, x, h)
+    states = rng.standard_normal(layer.zero_state().shape)
+    p, cells, vectors, w = states.shape
+    x = rng.standard_normal((1, p * w))
+    grouped = rnn_block_step(layer, x, states.copy())
+    step = gru_step if layer.kind == "gru" else lstm_step
+    full = x
+    for n in range(cells):
+        state = states[:, n].transpose(1, 0, 2).reshape(vectors, p * w)
+        full = step(*_block_diagonal_cell(layer, n), full, state)
     err = float(np.max(np.abs(grouped - full)))
-    return err < 1e-6, f"{p} groups of {chunk}, max difference {err:.2e}"
+    return err < 1e-6, f"{p} groups of {w}, max difference {err:.2e}"
 
 
 def _check_mac_monotonicity():
@@ -255,7 +266,7 @@ SELFTEST_CHECKS = [
     ("cola-window-identity", _check_cola),
     ("stft-round-trip", _check_roundtrip),
     ("streaming-vs-batch-inference", _check_streaming_equivalence),
-    ("block-diagonal-gru-equivalence", _check_block_diagonal_gru),
+    ("block-diagonal-gru-equivalence", lambda: _check_block_diagonal("CRUSE4-64-1xGRU4")),
     ("mac-monotonicity-and-ratio", _check_mac_monotonicity),
     ("rir-shaping-closed-forms", _check_rir_shaping),
 ]

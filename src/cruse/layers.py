@@ -11,15 +11,17 @@ recurrent matmul runs frame by frame; everything else is one matmul.
 
 Weight conventions (recorded in saved weight bundles):
   * matrices are row-major ``(out, in)``
-  * GRU gates are stacked in the order r, z, n; LSTM gates i, f, g, o
+  * GRU gates are stacked in the order r, z, n; LSTM gates i, f, g, o, as
+    the row blocks of one cell's ``(gates*w, in)`` input and ``(gates*w, w)``
+    recurrent matrices and ``(gates*w,)`` biases.  A recurrent block holds
+    one array per parameter for all its cells, ``(P, N, gates*w, w)`` and
+    ``(P, N, gates*w)``, with cell n of group g at ``[g, n]``.
   * the GRU candidate applies the reset gate after the recurrent matmul:
     ``n = tanh(Wn x + bn_in + r * (Un h + bn_hid))``
   * leaky ReLU uses negative slope 0.2
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -28,37 +30,6 @@ LEAKY_RELU_SLOPE = 0.2
 
 GRU_GATES = 3
 LSTM_GATES = 4
-
-
-@dataclass
-class RnnWeights:
-    """Stacked gate weights for one recurrent cell.
-
-    A GRU stacks 3 gates (r, z, n) and an LSTM 4 (i, f, g, o), so the gate
-    count is implied by the shapes: ``w_hidden`` is ``(gates*width, width)``.
-    """
-
-    w_input: np.ndarray   # (gates*width, in_dims)
-    w_hidden: np.ndarray  # (gates*width, width)
-    b_input: np.ndarray   # (gates*width,)
-    b_hidden: np.ndarray  # (gates*width,)
-
-    @property
-    def width(self) -> int:
-        return self.w_hidden.shape[1]
-
-    @property
-    def in_dims(self) -> int:
-        return self.w_input.shape[1]
-
-
-def zero_rnn_weights(gates: int, in_dims: int, width: int) -> RnnWeights:
-    return RnnWeights(
-        np.zeros((gates * width, in_dims)),
-        np.zeros((gates * width, width)),
-        np.zeros(gates * width),
-        np.zeros(gates * width),
-    )
 
 
 def fc_forward(weight: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -71,26 +42,29 @@ def fc_forward(weight: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarra
     return x @ weight.T + bias
 
 
-def gru_step(weights: RnnWeights, x: np.ndarray, state: np.ndarray) -> np.ndarray:
+def gru_step(w_input: np.ndarray, w_hidden: np.ndarray, b_input: np.ndarray,
+             b_hidden: np.ndarray, x: np.ndarray, state: np.ndarray) -> np.ndarray:
     """GRU updates over a block of frames ``(T, in)``; returns ``(T, w)``.
 
-    ``state`` is ``(1, w)``, the hidden vector ``h``, advanced in place to
-    the last frame's.  The input projection of the whole block is one
-    matmul; only the recurrent matmul runs frame by frame.
+    The weights are one cell's stacked gates: ``w_input`` ``(3w, in)``,
+    ``w_hidden`` ``(3w, w)`` and the biases ``(3w,)``.  ``state`` is
+    ``(1, w)``, the hidden vector ``h``, advanced in place to the last
+    frame's.  The input projection of the whole block is one matmul; only
+    the recurrent matmul runs frame by frame.
     """
-    w = weights.width
-    if x.ndim != 2 or x.shape[1] != weights.in_dims or state.shape != (1, w):
+    w = w_hidden.shape[1]
+    if x.ndim != 2 or x.shape[1] != w_input.shape[1] or state.shape != (1, w):
         raise ValueError(
-            f"gru_step expects input (T, {weights.in_dims}) and state (1, {w}), "
+            f"gru_step expects input (T, {w_input.shape[1]}) and state (1, {w}), "
             f"got {x.shape} and {state.shape}"
         )
-    gi = x @ weights.w_input.T + weights.b_input
+    gi = x @ w_input.T + b_input
     ys = np.empty((len(x), w))
     h = state[0]
     for t, g in enumerate(gi):
         # the docstring formulas, in place where a value is not read again
-        gh = weights.w_hidden @ h
-        gh += weights.b_hidden
+        gh = w_hidden @ h
+        gh += b_hidden
         rz = gh[: 2 * w]
         rz += g[: 2 * w]
         expit(rz, out=rz)
@@ -105,22 +79,24 @@ def gru_step(weights: RnnWeights, x: np.ndarray, state: np.ndarray) -> np.ndarra
     return ys
 
 
-def lstm_step(weights: RnnWeights, x: np.ndarray, state: np.ndarray) -> np.ndarray:
+def lstm_step(w_input: np.ndarray, w_hidden: np.ndarray, b_input: np.ndarray,
+              b_hidden: np.ndarray, x: np.ndarray, state: np.ndarray) -> np.ndarray:
     """LSTM updates over a block of frames ``(T, in)``; returns ``(T, w)``.
 
-    As :func:`gru_step`, with ``state`` the ``(2, w)`` vectors ``h, c``.
+    As :func:`gru_step`, with four stacked gates (``4w`` rows) and ``state``
+    the ``(2, w)`` vectors ``h, c``.
     """
-    w = weights.width
-    if x.ndim != 2 or x.shape[1] != weights.in_dims or state.shape != (2, w):
+    w = w_hidden.shape[1]
+    if x.ndim != 2 or x.shape[1] != w_input.shape[1] or state.shape != (2, w):
         raise ValueError(
-            f"lstm_step expects input (T, {weights.in_dims}) and state (2, {w}), "
+            f"lstm_step expects input (T, {w_input.shape[1]}) and state (2, {w}), "
             f"got {x.shape} and {state.shape}"
         )
-    gi = x @ weights.w_input.T + weights.b_input
+    gi = x @ w_input.T + b_input
     ys = np.empty((len(x), w))
     h, c = state
     for t, g in enumerate(gi):
-        gates = g + weights.w_hidden @ h + weights.b_hidden
+        gates = g + w_hidden @ h + b_hidden
         i_f = expit(gates[: 2 * w])
         c[...] = i_f[w:] * c + i_f[:w] * np.tanh(gates[2 * w : 3 * w])
         h = ys[t] = expit(gates[3 * w :]) * np.tanh(c)
@@ -184,7 +160,8 @@ def tconv2d_step(weight: np.ndarray, bias: np.ndarray, x: np.ndarray, state, f_t
     The time kernel of 2 is realized causally: each emitted frame adds the
     second time tap of the previous input frame, and the second tap of the
     last input frame becomes the state.  A time kernel of 1 has no such tap
-    and leaves the state unchanged.  All taps of a block are one matmul.
+    and, like an empty block, leaves the state unchanged.  All taps of a
+    block are one matmul.
 
     Args:
         weight: ``(c_out, c_in, kernel_t, kernel_f)``.  The matmul takes its
@@ -224,7 +201,7 @@ def tconv2d_step(weight: np.ndarray, bias: np.ndarray, x: np.ndarray, state, f_t
             bins += cols[:, :, k]
     up = up[..., left : left + f_target]
     out = up[:, 0] + bias[:, None, None]
-    if kt == 2:
+    if kt == 2 and t_len:
         out[:, 0] += state
         out[:, 1:] += up[:, 1, :-1]
         state[...] = up[:, 1, -1]

@@ -21,19 +21,10 @@ from .dsp import DEFAULT_LOG_FLOOR, StftConfig, istft, stft
 SISDR_CAP_DB = 100.0
 CEPSTRAL_ORDER = 24
 
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Magnitude compression exponent and complex-term blend weight."""
-
-    compression: float = 0.3
-    blend: float = 0.3
-
-    def __post_init__(self):
-        if not 0.0 < self.compression <= 1.0:
-            raise ValueError(f"compression must be in (0, 1], got {self.compression}")
-        if not 0.0 <= self.blend <= 1.0:
-            raise ValueError(f"blend must be in [0, 1], got {self.blend}")
+# The paper's loss: magnitudes compressed by |X|**0.3, and the complex term
+# blended in with weight 0.3.
+LOSS_COMPRESSION = 0.3
+LOSS_BLEND = 0.3
 
 
 @dataclass(frozen=True)
@@ -55,14 +46,14 @@ def level_normalize_pair(pred: np.ndarray, target: np.ndarray):
     return np.asarray(pred, dtype=np.float64) / norm, np.asarray(target, dtype=np.float64) / norm
 
 
-def _compressed(spec: np.ndarray, c: float):
+def _compressed(spec: np.ndarray):
     mag = np.abs(spec)
-    mag_c = mag**c
+    mag_c = mag**LOSS_COMPRESSION
     unit = np.divide(spec, mag, out=np.zeros_like(spec, dtype=complex), where=mag > 0)
     return mag_c, mag_c * unit
 
 
-def ccmse_terms(spec_ref: np.ndarray, spec_est: np.ndarray, compression: float):
+def ccmse_terms(spec_ref: np.ndarray, spec_est: np.ndarray):
     """The two raw sums of the compressed complex MSE.
 
     Returns:
@@ -73,22 +64,20 @@ def ccmse_terms(spec_ref: np.ndarray, spec_est: np.ndarray, compression: float):
     spec_est = np.asarray(spec_est)
     if spec_ref.shape != spec_est.shape:
         raise ValueError(f"shape mismatch: {spec_ref.shape} vs {spec_est.shape}")
-    mag_r, comp_r = _compressed(spec_ref, compression)
-    mag_e, comp_e = _compressed(spec_est, compression)
+    mag_r, comp_r = _compressed(spec_ref)
+    mag_e, comp_e = _compressed(spec_est)
     mag_term = float(np.sum((mag_r - mag_e) ** 2))
     complex_term = float(np.sum(np.abs(comp_r - comp_e) ** 2))
     return mag_term, complex_term
 
 
-def loss_ccmse(spec_ref: np.ndarray, spec_est: np.ndarray,
-               cfg: LossConfig = LossConfig()) -> float:
+def loss_ccmse(spec_ref: np.ndarray, spec_est: np.ndarray) -> float:
     """Compressed complex MSE blending magnitude-only and phase-aware terms."""
-    mag_term, complex_term = ccmse_terms(spec_ref, spec_est, cfg.compression)
-    return (1.0 - cfg.blend) * mag_term + cfg.blend * complex_term
+    mag_term, complex_term = ccmse_terms(spec_ref, spec_est)
+    return (1.0 - LOSS_BLEND) * mag_term + LOSS_BLEND * complex_term
 
 
 def training_loss(pred_spec: np.ndarray, target_time: np.ndarray,
-                  cfg: LossConfig = LossConfig(),
                   stft_cfg: StftConfig = StftConfig()) -> float:
     """Loss of a predicted spectrogram against a time-domain target.
 
@@ -100,7 +89,7 @@ def training_loss(pred_spec: np.ndarray, target_time: np.ndarray,
     target_time = np.asarray(target_time, dtype=np.float64)
     n = min(len(recon), len(target_time) // stft_cfg.hop_len * stft_cfg.hop_len)
     pred_n, target_n = level_normalize_pair(recon[:n], target_time[:n])
-    return loss_ccmse(stft(target_n, stft_cfg), stft(pred_n, stft_cfg), cfg)
+    return loss_ccmse(stft(target_n, stft_cfg), stft(pred_n, stft_cfg))
 
 
 def si_sdr(est: np.ndarray, ref: np.ndarray) -> float:

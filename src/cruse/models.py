@@ -31,7 +31,6 @@ from .layers import (
     lstm_step,
     skip_combine,
     tconv2d_step,
-    zero_rnn_weights,
 )
 from .macs import macs_conv2d, macs_fc, macs_gru, macs_lstm, macs_skip_conv1x1, macs_tconv2d
 
@@ -216,37 +215,41 @@ class FcLayer:
 
 @dataclass
 class RnnLayer:
-    """Grouped recurrent block: P disconnected stacks of N cells each."""
+    """Grouped recurrent block: P disconnected stacks of N cells each.
+
+    Each parameter is one array over all cells, with cell n of group g at
+    ``[g, n]``.  Every cell maps its group's width w to w.
+    """
 
     name: str
     kind: str                    # "gru" | "lstm"
-    groups: list                 # P entries, each a list of N RnnWeights
+    w_input: np.ndarray          # (P, N, gates*w, w)
+    w_hidden: np.ndarray         # (P, N, gates*w, w)
+    b_input: np.ndarray          # (P, N, gates*w)
+    b_hidden: np.ndarray         # (P, N, gates*w)
 
     def param_arrays(self):
-        out = []
-        for g, stack in enumerate(self.groups):
-            for n, cell in enumerate(stack):
-                tag = f"g{g}n{n}"
-                out += [
-                    (f"{tag}.w_input", cell.w_input),
-                    (f"{tag}.w_hidden", cell.w_hidden),
-                    (f"{tag}.b_input", cell.b_input),
-                    (f"{tag}.b_hidden", cell.b_hidden),
-                ]
-        return out
+        p, cells = self.w_hidden.shape[:2]
+        return [
+            (f"g{g}n{n}.{f}", getattr(self, f)[g, n])
+            for g in range(p)
+            for n in range(cells)
+            for f in ("w_input", "w_hidden", "b_input", "b_hidden")
+        ]
 
     @property
     def width(self) -> int:
-        return sum(stack[0].width for stack in self.groups)
+        p, _, _, w = self.w_hidden.shape
+        return p * w
 
     def macs(self) -> int:
-        fn = macs_gru if self.kind == "gru" else macs_lstm
-        return sum(fn(cell.in_dims, cell.width) for stack in self.groups for cell in stack)
+        p, cells, _, w = self.w_hidden.shape
+        return p * cells * (macs_gru if self.kind == "gru" else macs_lstm)(w, w)
 
     def zero_state(self) -> np.ndarray:
-        """Zeros ``(P, N, vectors, width)``: per group and cell, ``h`` (GRU) or ``h, c`` (LSTM)."""
-        vectors = 1 if self.kind == "gru" else 2
-        return np.zeros((len(self.groups), len(self.groups[0]), vectors, self.groups[0][0].width))
+        """Zeros ``(P, N, vectors, w)``: per group and cell, ``h`` (GRU) or ``h, c`` (LSTM)."""
+        p, cells, _, w = self.w_hidden.shape
+        return np.zeros((p, cells, 1 if self.kind == "gru" else 2, w))
 
 
 @dataclass
@@ -346,6 +349,12 @@ def conv_freq_sizes(num_bins: int, layers: int) -> list[int]:
     return sizes
 
 
+def _zero_rnn(name: str, kind: str, groups: int, cells: int, width: int) -> RnnLayer:
+    rows = (groups, cells, (GRU_GATES if kind == "gru" else LSTM_GATES) * width)
+    return RnnLayer(name, kind, np.zeros(rows + (width,)), np.zeros(rows + (width,)),
+                    np.zeros(rows), np.zeros(rows))
+
+
 def build_model(spec: ModelSpec) -> ModelGraph:
     """Construct a zero-weighted graph with all shapes resolved."""
     k = spec.num_bins
@@ -353,8 +362,8 @@ def build_model(spec: ModelSpec) -> ModelGraph:
         r = spec.rnn_width
         stack = [
             FcLayer("fc_in", np.zeros((r, k)), np.zeros(r), "relu"),
-            RnnLayer("gru1", "gru", [[zero_rnn_weights(GRU_GATES, r, r)]]),
-            RnnLayer("gru2", "gru", [[zero_rnn_weights(GRU_GATES, r, r)]]),
+            _zero_rnn("gru1", "gru", 1, 1, r),
+            _zero_rnn("gru2", "gru", 1, 1, r),
             FcLayer("fc1", np.zeros((NSNET2_FC_WIDTH, r)), np.zeros(NSNET2_FC_WIDTH), "relu"),
             FcLayer(
                 "fc2",
@@ -385,12 +394,7 @@ def build_model(spec: ModelSpec) -> ModelGraph:
 
     p = spec.parallel_groups
     group_width = spec.channels[-1] * freqs[-1] // p
-    gates = GRU_GATES if spec.rnn_kind == "gru" else LSTM_GATES
-    groups = [
-        [zero_rnn_weights(gates, group_width, group_width) for _ in range(spec.rnn_layers)]
-        for _ in range(p)
-    ]
-    bottleneck = RnnLayer("rnn", spec.rnn_kind, groups)
+    bottleneck = _zero_rnn("rnn", spec.rnn_kind, p, spec.rnn_layers, group_width)
 
     concat = spec.skip_kind == "concat"
     decoder = []
@@ -636,16 +640,17 @@ def rnn_block_step(layer: RnnLayer, x: np.ndarray, states: np.ndarray) -> np.nda
     Raises:
         ValueError: unless ``x`` is 2-D with a width divisible by P.
     """
-    p = len(layer.groups)
+    p, cells = layer.w_hidden.shape[:2]
     if x.ndim != 2 or x.shape[1] % p:
         raise ValueError(f"expected (T, width) with width divisible by {p} groups, got {x.shape}")
     chunk = x.shape[1] // p
     step = gru_step if layer.kind == "gru" else lstm_step
     outs = []
-    for g, stack in enumerate(layer.groups):
+    for g in range(p):
         y = x[:, g * chunk : (g + 1) * chunk]
-        for n, cell in enumerate(stack):
-            y = step(cell, y, states[g, n])
+        for n in range(cells):
+            y = step(layer.w_input[g, n], layer.w_hidden[g, n], layer.b_input[g, n],
+                     layer.b_hidden[g, n], y, states[g, n])
         outs.append(y)
     return np.concatenate(outs, axis=1)
 
@@ -682,7 +687,7 @@ def infer_frame(graph: ModelGraph, state: StreamState, features: np.ndarray) -> 
         x = activation_apply(layer.activation, y)
         enc_outs.append(x)
 
-    flat = x.reshape(len(x), -1)  # channel-major per frame
+    flat = x.reshape(len(x), graph.bottleneck.width)  # channel-major per frame
     flat = rnn_block_step(graph.bottleneck, flat, ls[graph.bottleneck.name])
     x = flat.reshape(x.shape)
 

@@ -26,6 +26,10 @@ from .dsp import (
 )
 from .models import BLOCK_FRAMES, ModelGraph, StreamState, infer_frame
 
+# The largest input magnitude kept: the largest finite float32, so every finite
+# WAV sample is kept and no kept sample's power overflows.
+_MAX_SAMPLE = np.finfo(np.float32).max
+
 
 @dataclass
 class EnhanceStats:
@@ -33,7 +37,7 @@ class EnhanceStats:
     mean_frame_ms: float
     max_frame_ms: float
     hop_ms: float
-    nonfinite_hops: int   # hops whose NaN or infinite samples were zeroed
+    nonfinite_hops: int   # hops with NaN or beyond-float32 samples, which were zeroed
 
     @property
     def realtime_factor(self) -> float:
@@ -67,9 +71,11 @@ class StreamingEnhancer:
         and equals them to within 1e-10; the caller pays k hops of buffering
         latency.  The first emitted hop covers the causal head padding, as
         if the stream followed silence, not the input; callers streaming a
-        whole file drop it (see :func:`enhance_signal`).  NaN or infinite input samples are replaced
-        by 0.0 before they reach any state, so one bad hop cannot poison
-        the stream; such hops are counted in ``stats().nonfinite_hops``.
+        whole file drop it (see :func:`enhance_signal`).  Samples that are
+        NaN or larger in magnitude than the largest float32, whose power
+        would overflow, are replaced by 0.0 before they reach any state, so
+        one bad hop cannot poison the stream; such hops are counted in
+        ``stats().nonfinite_hops``.
 
         Raises:
             ValueError: unless ``samples`` is 1-D with a whole number k >= 1
@@ -84,10 +90,11 @@ class StreamingEnhancer:
             )
         started = time.perf_counter()
 
-        finite = np.isfinite(samples)
-        if not finite.all():
-            self._nonfinite_hops += int((~finite).reshape(-1, hop).any(axis=1).sum())
-            samples = np.where(finite, samples, 0.0)
+        # NaN compares false, so this one test also catches it
+        usable = np.abs(samples) <= _MAX_SAMPLE
+        if not usable.all():
+            self._nonfinite_hops += int((~usable).reshape(-1, hop).any(axis=1).sum())
+            samples = np.where(usable, samples, 0.0)
 
         spec = _frame_spectra(self._head, samples, cfg)
         gains = infer_frame(self.graph, self.state, log_power_features(spec))

@@ -6,7 +6,6 @@ import pytest
 from cruse.layers import (
     GRU_GATES,
     LSTM_GATES,
-    RnnWeights,
     activation_apply,
     conv2d_step,
     fc_forward,
@@ -14,26 +13,32 @@ from cruse.layers import (
     lstm_step,
     skip_combine,
     tconv2d_step,
-    zero_rnn_weights,
 )
 from cruse.models import RnnLayer, rnn_block_step
 
 
-def random_cell(rng, gates, in_dims, width):
-    return RnnWeights(
-        rng.standard_normal((gates * width, in_dims)),
-        rng.standard_normal((gates * width, width)),
-        rng.standard_normal(gates * width),
-        rng.standard_normal(gates * width),
-    )
+def cell_arrays(make, gates, in_dims, width):
+    """One cell's ``(w_input, w_hidden, b_input, b_hidden)``, each ``make(shape)``."""
+    rows = gates * width
+    return make((rows, in_dims)), make((rows, width)), make(rows), make(rows)
+
+
+def zero_cell(gates, in_dims, width):
+    return cell_arrays(np.zeros, gates, in_dims, width)
 
 
 def random_gru(rng, in_dims, width):
-    return random_cell(rng, GRU_GATES, in_dims, width)
+    return cell_arrays(rng.standard_normal, GRU_GATES, in_dims, width)
 
 
 def random_lstm(rng, in_dims, width):
-    return random_cell(rng, LSTM_GATES, in_dims, width)
+    return cell_arrays(rng.standard_normal, LSTM_GATES, in_dims, width)
+
+
+def rnn_layer(kind, groups):
+    """An ``RnnLayer`` whose cell n of group g has the arrays ``groups[g][n]``."""
+    arrays = (np.array([[cell[i] for cell in stack] for stack in groups]) for i in range(4))
+    return RnnLayer("rnn", kind, *arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -45,15 +50,16 @@ def _sig(v):
 
 
 def gru_oracle(w, x, h):
-    width = w.width
+    w_input, w_hidden, b_input, b_hidden = w
+    width = w_hidden.shape[1]
     out = np.zeros(width)
     for i in range(width):
         pre = [0.0, 0.0, 0.0]
         rec = [0.0, 0.0, 0.0]
         for gate in range(3):
             row = gate * width + i
-            pre[gate] = w.b_input[row] + sum(w.w_input[row][j] * x[j] for j in range(len(x)))
-            rec[gate] = w.b_hidden[row] + sum(w.w_hidden[row][j] * h[j] for j in range(width))
+            pre[gate] = b_input[row] + sum(w_input[row][j] * x[j] for j in range(len(x)))
+            rec[gate] = b_hidden[row] + sum(w_hidden[row][j] * h[j] for j in range(width))
         r = _sig(pre[0] + rec[0])
         z = _sig(pre[1] + rec[1])
         n = math.tanh(pre[2] + r * rec[2])
@@ -62,7 +68,8 @@ def gru_oracle(w, x, h):
 
 
 def lstm_oracle(w, x, h, c):
-    width = w.width
+    w_input, w_hidden, b_input, b_hidden = w
+    width = w_hidden.shape[1]
     h_out = np.zeros(width)
     c_out = np.zeros(width)
     for idx in range(width):
@@ -70,10 +77,10 @@ def lstm_oracle(w, x, h, c):
         for gate in range(4):
             row = gate * width + idx
             g[gate] = (
-                w.b_input[row]
-                + w.b_hidden[row]
-                + sum(w.w_input[row][j] * x[j] for j in range(len(x)))
-                + sum(w.w_hidden[row][j] * h[j] for j in range(width))
+                b_input[row]
+                + b_hidden[row]
+                + sum(w_input[row][j] * x[j] for j in range(len(x)))
+                + sum(w_hidden[row][j] * h[j] for j in range(width))
             )
         i, f, gg, o = _sig(g[0]), _sig(g[1]), math.tanh(g[2]), _sig(g[3])
         c_out[idx] = f * c[idx] + i * gg
@@ -160,19 +167,19 @@ def test_fc_shape_mismatch():
 
 
 def test_gru_zero_weights_gives_zero_state():
-    w = zero_rnn_weights(GRU_GATES, 3, 4)
+    w = zero_cell(GRU_GATES, 3, 4)
     state = np.zeros((1, 4))
-    y = gru_step(w, np.ones((1, 3)), state)
+    y = gru_step(*w, np.ones((1, 3)), state)
     np.testing.assert_array_equal(y, np.zeros((1, 4)))
     np.testing.assert_array_equal(state, np.zeros((1, 4)))
 
 
 def test_gru_saturated_update_gate_passes_memory():
-    w = zero_rnn_weights(GRU_GATES, 3, 4)
-    w.b_input[4:8] = 60.0  # z rows saturate to 1
+    w_input, w_hidden, b_input, b_hidden = zero_cell(GRU_GATES, 3, 4)
+    b_input[4:8] = 60.0  # z rows saturate to 1
     h0 = np.array([[0.3, -0.7, 1.5, 0.01]])
     state = h0.copy()
-    gru_step(w, np.zeros((1, 3)), state)
+    gru_step(w_input, w_hidden, b_input, b_hidden, np.zeros((1, 3)), state)
     np.testing.assert_allclose(state, h0, atol=1e-12)
 
 
@@ -182,32 +189,32 @@ def test_gru_matches_scalar_oracle():
     x = rng.standard_normal(3)
     h = rng.standard_normal(4)
     state = h[None].copy()
-    y = gru_step(w, x[None], state)
+    y = gru_step(*w, x[None], state)
     np.testing.assert_allclose(state[0], gru_oracle(w, x, h), atol=1e-12)
     np.testing.assert_array_equal(y, state)
 
 
 def test_gru_shape_mismatch():
     with pytest.raises(ValueError):
-        gru_step(zero_rnn_weights(GRU_GATES, 3, 4), np.zeros((1, 5)), np.zeros((1, 4)))
+        gru_step(*zero_cell(GRU_GATES, 3, 4), np.zeros((1, 5)), np.zeros((1, 4)))
 
 
 def test_lstm_zero_weights_gives_zero_state():
-    w = zero_rnn_weights(LSTM_GATES, 3, 4)
+    w = zero_cell(LSTM_GATES, 3, 4)
     state = np.zeros((2, 4))
-    lstm_step(w, np.ones((1, 3)), state)
+    lstm_step(*w, np.ones((1, 3)), state)
     h, c = state
     np.testing.assert_array_equal(h, np.zeros(4))
     np.testing.assert_array_equal(c, np.zeros(4))
 
 
 def test_lstm_gate_limits_preserve_cell():
-    w = zero_rnn_weights(LSTM_GATES, 2, 3)
-    w.b_input[3:6] = 60.0   # forget gate -> 1
-    w.b_input[0:3] = -60.0  # input gate -> 0
+    w_input, w_hidden, b_input, b_hidden = zero_cell(LSTM_GATES, 2, 3)
+    b_input[3:6] = 60.0   # forget gate -> 1
+    b_input[0:3] = -60.0  # input gate -> 0
     c0 = np.array([0.5, -1.0, 2.0])
     state = np.stack([np.zeros(3), c0])
-    lstm_step(w, np.ones((1, 2)), state)
+    lstm_step(w_input, w_hidden, b_input, b_hidden, np.ones((1, 2)), state)
     np.testing.assert_allclose(state[1], c0, atol=1e-12)
 
 
@@ -218,7 +225,7 @@ def test_lstm_matches_scalar_oracle():
     h = rng.standard_normal(4)
     c = rng.standard_normal(4)
     state = np.stack([h, c])
-    y = lstm_step(w, x[None], state)
+    y = lstm_step(*w, x[None], state)
     h_ref, c_ref = lstm_oracle(w, x, h, c)
     np.testing.assert_allclose(state[0], h_ref, atol=1e-12)
     np.testing.assert_allclose(state[1], c_ref, atol=1e-12)
@@ -232,11 +239,11 @@ def test_recurrent_streaming_matches_sequential_scan():
     h = np.zeros((1, 5))
     outs = []
     for x in xs:
-        gru_step(w, x[None], h)
+        gru_step(*w, x[None], h)
         outs.append(h.copy())
     h2 = np.zeros((1, 5))
     for t, x in enumerate(xs):
-        gru_step(w, x[None], h2)
+        gru_step(*w, x[None], h2)
         np.testing.assert_array_equal(h2, outs[t])
 
 
@@ -249,9 +256,9 @@ def test_recurrent_block_equals_frame_loop(kind):
     start = np.array([rng.standard_normal(5) for _ in range(1 if kind == "gru" else 2)])
     looped, carried = [], start.copy()
     for x in xs:
-        looped.append(step(w, x[None], carried)[0])
+        looped.append(step(*w, x[None], carried)[0])
     last = start.copy()
-    ys = step(w, xs, last)
+    ys = step(*w, xs, last)
     assert ys.shape == (9, 5)
     np.testing.assert_allclose(ys, looped, rtol=0, atol=1e-12)
     np.testing.assert_allclose(last, carried, rtol=0, atol=1e-12)
@@ -260,14 +267,14 @@ def test_recurrent_block_equals_frame_loop(kind):
 
 def test_recurrent_block_rejects_wrong_rank():
     with pytest.raises(ValueError):
-        gru_step(zero_rnn_weights(GRU_GATES, 3, 4), np.zeros((2, 2, 3)), np.zeros((1, 4)))
+        gru_step(*zero_cell(GRU_GATES, 3, 4), np.zeros((2, 2, 3)), np.zeros((1, 4)))
 
 
 @pytest.mark.parametrize("primitive", ["gru", "lstm", "conv", "tconv", "rnn_block"])
 def test_primitives_reject_a_frame_without_its_block_axis(primitive):
     calls = {
-        "gru": lambda: gru_step(zero_rnn_weights(GRU_GATES, 3, 4), np.zeros(3), np.zeros((1, 4))),
-        "lstm": lambda: lstm_step(zero_rnn_weights(LSTM_GATES, 3, 4), np.zeros(3), np.zeros((2, 4))),
+        "gru": lambda: gru_step(*zero_cell(GRU_GATES, 3, 4), np.zeros(3), np.zeros((1, 4))),
+        "lstm": lambda: lstm_step(*zero_cell(LSTM_GATES, 3, 4), np.zeros(3), np.zeros((2, 4))),
         "conv": lambda: conv2d_step(
             np.zeros((3, 2, 2, 3)), np.zeros(3), np.zeros((2, 8)), np.zeros((1, 2, 8))
         ),
@@ -275,8 +282,7 @@ def test_primitives_reject_a_frame_without_its_block_axis(primitive):
             np.zeros((2, 3, 2, 3)), np.zeros(2), np.zeros((3, 11)), np.zeros((2, 21)), 21
         ),
         "rnn_block": lambda: rnn_block_step(
-            RnnLayer("rnn", "gru", [[zero_rnn_weights(GRU_GATES, 3, 3)]]), np.zeros(3),
-            np.zeros((1, 1, 1, 3)),
+            rnn_layer("gru", [[zero_cell(GRU_GATES, 3, 3)]]), np.zeros(3), np.zeros((1, 1, 1, 3))
         ),
     }
     with pytest.raises(ValueError, match=r"\(T, "):
@@ -436,14 +442,14 @@ def test_parallel_rnn_single_group_is_plain_gru():
     w = random_gru(rng, 6, 6)
     x = rng.standard_normal((1, 6))
     h = rng.standard_normal((1, 6))
-    y_grouped = rnn_block_step(RnnLayer("rnn", "gru", [[w]]), x, h.reshape(1, 1, 1, 6).copy())
-    y_plain = gru_step(w, x, h)
+    y_grouped = rnn_block_step(rnn_layer("gru", [[w]]), x, h.reshape(1, 1, 1, 6).copy())
+    y_plain = gru_step(*w, x, h)
     np.testing.assert_array_equal(y_grouped, y_plain)
 
 
 def test_parallel_rnn_zero_group_outputs_zero():
     rng = np.random.default_rng(9)
-    layer = RnnLayer("rnn", "gru", [[random_gru(rng, 3, 3)], [zero_rnn_weights(GRU_GATES, 3, 3)]])
+    layer = rnn_layer("gru", [[random_gru(rng, 3, 3)], [zero_cell(GRU_GATES, 3, 3)]])
     y = rnn_block_step(layer, rng.standard_normal((1, 6)), layer.zero_state())[0]
     np.testing.assert_array_equal(y[3:], np.zeros(3))
     assert np.any(y[:3] != 0)
@@ -451,7 +457,7 @@ def test_parallel_rnn_zero_group_outputs_zero():
 
 def test_parallel_rnn_block_equals_frame_loop():
     rng = np.random.default_rng(10)
-    layer = RnnLayer("rnn", "lstm", [[random_lstm(rng, 3, 3)], [random_lstm(rng, 3, 3)]])
+    layer = rnn_layer("lstm", [[random_lstm(rng, 3, 3)], [random_lstm(rng, 3, 3)]])
     xs = rng.standard_normal((5, 6))
     frame_states, block_states = layer.zero_state(), layer.zero_state()
     assert frame_states.shape == (2, 1, 2, 3)
@@ -462,7 +468,7 @@ def test_parallel_rnn_block_equals_frame_loop():
 
 def test_parallel_rnn_indivisible_length_errors():
     rng = np.random.default_rng(11)
-    layer = RnnLayer("rnn", "gru", [[random_gru(rng, 2, 2)]] * 3)
+    layer = rnn_layer("gru", [[random_gru(rng, 2, 2)]] * 3)
     with pytest.raises(ValueError, match="divisible"):
         rnn_block_step(layer, np.zeros((1, 7)), layer.zero_state())
 

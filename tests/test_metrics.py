@@ -5,7 +5,7 @@ import pytest
 
 from cruse.dsp import StftConfig, apply_gain, consistency_project, stft
 from cruse.metrics import (
-    LossConfig,
+    LOSS_BLEND,
     ScoreSet,
     ccmse_terms,
     cepstral_distance,
@@ -99,18 +99,18 @@ def test_loss_phase_flip_case():
     ref = np.array([[-1.0 + 0j]])  # magnitude 1, phase pi
     est = np.array([[1.0 + 0j]])
     assert loss_ccmse(ref, est) == pytest.approx(1.2, abs=1e-9)
-    mag_term, complex_term = ccmse_terms(ref, est, 0.3)
+    mag_term, complex_term = ccmse_terms(ref, est)
     assert mag_term == pytest.approx(0.0, abs=1e-12)
     assert complex_term == pytest.approx(4.0, abs=1e-12)
 
 
-def test_loss_blend_edges():
+def test_loss_blends_its_two_terms():
     rng = np.random.default_rng(4)
     ref = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
     est = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
-    mag_term, complex_term = ccmse_terms(ref, est, 0.3)
-    assert loss_ccmse(ref, est, LossConfig(blend=0.0)) == pytest.approx(mag_term, rel=1e-12)
-    assert loss_ccmse(ref, est, LossConfig(blend=1.0)) == pytest.approx(complex_term, rel=1e-12)
+    mag_term, complex_term = ccmse_terms(ref, est)
+    expected = (1 - LOSS_BLEND) * mag_term + LOSS_BLEND * complex_term
+    assert loss_ccmse(ref, est) == pytest.approx(expected, rel=1e-12)
 
 
 def test_loss_nonnegative_and_shape_checked():
@@ -120,13 +120,6 @@ def test_loss_nonnegative_and_shape_checked():
     assert loss_ccmse(a, b) > 0.0
     with pytest.raises(ValueError):
         loss_ccmse(a, b[:2])
-
-
-def test_loss_config_validation():
-    with pytest.raises(ValueError):
-        LossConfig(compression=0.0)
-    with pytest.raises(ValueError):
-        LossConfig(blend=1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cruse.cli import _check_block_diagonal
 from cruse.layers import _tconv_taps, tconv2d_step
 from cruse.models import (
     _FILL_BLOCK,
@@ -89,7 +90,7 @@ def test_nsnet2_layer_dims():
     assert dims == [(400, 161), (600, 400), (600, 600), (161, 600)]
     rnn = [l for l in graph.stack if isinstance(l, RnnLayer)]
     assert len(rnn) == 2
-    assert all(stack[0].width == 400 for l in rnn for stack in l.groups)
+    assert all(l.w_hidden.shape == (1, 1, 3 * 400, 400) for l in rnn)
     assert fc[-1].activation == "sigmoid"
 
 
@@ -97,8 +98,7 @@ def test_cruse_bottleneck_grouping():
     graph = build_model(parse_model_name("CRUSE4-128-1xGRU4"))
     assert conv_freq_sizes(161, 4) == [161, 81, 41, 21, 11]
     assert graph.bottleneck.width == 128 * 11
-    assert len(graph.bottleneck.groups) == 4
-    assert all(stack[0].width == 352 for stack in graph.bottleneck.groups)
+    assert graph.bottleneck.w_hidden.shape == (4, 1, 3 * 352, 352)  # 4 groups of 1 GRU
 
 
 def test_cruse_indivisible_groups_error():
@@ -397,6 +397,23 @@ def test_infer_frame_advances_each_state_array_in_place(name):
         for key, array in arrays.items():
             assert state.layer_states[key] is array, key
             assert np.all(array != 0), key  # advanced from its zeros
+
+
+@pytest.mark.parametrize("name", ["NSnet2-32", "CRUSE3-32-1xGRU2", "CRUSE3-32-2xLSTM2"])
+def test_zero_frame_block_returns_no_gains_and_keeps_the_state(name):
+    graph = init_test_weights(build_model(parse_model_name(name)), 8)
+    state = StreamState(graph)
+    infer_frame(graph, state, np.random.default_rng(8).standard_normal((3, 161)))
+    before = {key: array.copy() for key, array in state.layer_states.items()}
+    assert infer_frame(graph, state, np.zeros((0, 161))).shape == (0, 161)
+    for key, array in state.layer_states.items():
+        np.testing.assert_array_equal(array, before[key], err_msg=key)
+
+
+@pytest.mark.parametrize("name", ["CRUSE4-64-1xGRU4", "CRUSE4-64-1xLSTM4", "CRUSE3-32-2xLSTM2"])
+def test_grouped_block_equals_its_block_diagonal_cells(name):
+    ok, detail = _check_block_diagonal(name)
+    assert ok, detail
 
 
 def test_causality_under_perturbation():

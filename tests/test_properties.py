@@ -90,8 +90,7 @@ def _rnn_matrix_macs(spec) -> int:
     graph = build_model(spec)
     rows = {row.name: row.macs for row in macs_model(graph).layers}
     return sum(
-        rows[layer.name]
-        - sum(cell.b_input.size + cell.b_hidden.size for stack in layer.groups for cell in stack)
+        rows[layer.name] - layer.b_input.size - layer.b_hidden.size
         for layer in graph.iter_layers()
         if isinstance(layer, RnnLayer)
     )

@@ -83,7 +83,8 @@ def test_short_signal_errors():
             enhance_signal(graph, np.zeros(n), CFG)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+# 1e160 is finite, but its power overflows to inf
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e160])
 def test_non_finite_sample_is_zeroed_and_counted(bad):
     graph = init_test_weights(build_model(parse_model_name("CRUSE4-32-1xGRU2")), 25)
     x = 0.1 * np.random.default_rng(3).standard_normal(40 * CFG.hop_len)
@@ -100,6 +101,16 @@ def test_non_finite_sample_is_zeroed_and_counted(bad):
         assert np.isfinite(out).all()
     assert engine.stats().nonfinite_hops == 1
     assert reference.stats().nonfinite_hops == 0
+
+
+def test_samples_up_to_the_largest_float32_are_kept():
+    graph = init_test_weights(build_model(parse_model_name("CRUSE4-32-1xGRU2")), 25)
+    limit = float(np.finfo(np.float32).max)
+    engine = StreamingEnhancer(graph, CFG)
+    engine.process_hop(np.full(CFG.hop_len, -limit))
+    assert engine.stats().nonfinite_hops == 0
+    engine.process_hop(np.full(CFG.hop_len, np.nextafter(limit, np.inf)))
+    assert engine.stats().nonfinite_hops == 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft
 
 from .audio_io import read_pipeline_wav
 from .dsp import SAMPLE_RATE
@@ -335,6 +335,18 @@ def sample_recipe(rng: np.random.Generator, store: AssetStore,
     )
 
 
+def _convolve_each(x: np.ndarray, kernels, length: int) -> list[np.ndarray]:
+    """The first ``length`` samples of the full convolution of ``x`` with each kernel.
+
+    One product of real FFTs per kernel, zero-padded to the fast length
+    ``next_fast_len`` gives for the full output; the spectrum of ``x`` is
+    taken once and shared by every kernel.
+    """
+    n = fft.next_fast_len(len(x) + max(len(h) for h in kernels) - 1, True)
+    spectrum = fft.rfft(x, n)
+    return [fft.irfft(spectrum * fft.rfft(h, n), n)[:length] for h in kernels]
+
+
 def generate_pair(recipe: MixtureRecipe, store: AssetStore) -> TrainingPair:
     """Synthesize the (noisy, target) pair a recipe describes.
 
@@ -353,8 +365,7 @@ def generate_pair(recipe: MixtureRecipe, store: AssetStore) -> TrainingPair:
     if recipe.rir_id is not None:
         rir = store.load(recipe.rir_id)
         shaped = shape_rir(rir, find_direct_sound(rir))
-        speech_in = fftconvolve(dry, rir)[:total]
-        target = fftconvolve(dry, shaped)[:total]
+        speech_in, target = _convolve_each(dry, (rir, shaped), total)
     else:
         speech_in = dry
         target = dry.copy()

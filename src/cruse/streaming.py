@@ -38,6 +38,7 @@ class EnhanceStats:
     max_frame_ms: float
     hop_ms: float
     nonfinite_hops: int   # hops with NaN or beyond-float32 samples, which were zeroed
+    state_resets: int     # calls whose gains were non-finite: state zeroed, unit gain
 
     @property
     def realtime_factor(self) -> float:
@@ -61,6 +62,7 @@ class StreamingEnhancer:
         self._tail = np.zeros(config.hop_len)       # second half of the last frame: silence
         self._frames = 0
         self._nonfinite_hops = 0
+        self._state_resets = 0
         self._busy_s = 0.0   # summed process_hop wall time, and the worst per hop of a call
         self._worst_s = 0.0
 
@@ -75,7 +77,9 @@ class StreamingEnhancer:
         NaN or larger in magnitude than the largest float32, whose power
         would overflow, are replaced by 0.0 before they reach any state, so
         one bad hop cannot poison the stream; such hops are counted in
-        ``stats().nonfinite_hops``.
+        ``stats().nonfinite_hops``.  Should the gains of a call still come out
+        non-finite, every state array is zeroed, the call's audio passes with
+        unit gain and the call is counted in ``stats().state_resets``.
 
         Raises:
             ValueError: unless ``samples`` is 1-D with a whole number k >= 1
@@ -98,6 +102,11 @@ class StreamingEnhancer:
 
         spec = _frame_spectra(self._head, samples, cfg)
         gains = infer_frame(self.graph, self.state, log_power_features(spec))
+        if not np.isfinite(gains).all():
+            for array in self.state.layer_states.values():
+                array[...] = 0.0
+            gains = 1.0
+            self._state_resets += 1
         out, self._tail = _overlap_add(spec * gains, self._tail, cfg)
         self._head = samples[-hop:].copy()
 
@@ -120,6 +129,7 @@ class StreamingEnhancer:
             max_frame_ms=self._worst_s * 1e3,
             hop_ms=self.config.hop_ms,
             nonfinite_hops=self._nonfinite_hops,
+            state_resets=self._state_resets,
         )
 
 

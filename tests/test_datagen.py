@@ -7,6 +7,7 @@ import pytest
 from cruse.datagen import (
     AssetStore,
     MixtureRecipe,
+    _convolve_each,
     active_rms,
     assemble_clip,
     classify_reverberant,
@@ -316,6 +317,34 @@ def test_generate_pair_high_snr_matches_reverberant_speech(asset_store):
     reverberant = fftconvolve(dry, rir)[: 2 * SR]
     corr = np.corrcoef(pair.noisy, reverberant)[0, 1]
     assert corr > 0.999
+
+
+def _assert_convolutions_match(x, kernels, length):
+    from scipy.signal import fftconvolve
+
+    outs = _convolve_each(x, kernels, length)
+    assert len(outs) == len(kernels)
+    for out, h in zip(outs, kernels):
+        ref = fftconvolve(x, h)[:length]
+        assert out.shape == ref.shape
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_shared_spectrum_convolution_matches_fftconvolve(asset_store):
+    dry = assemble_clip([asset_store.load("speech_dry1.wav")], 2.0)
+    rir = asset_store.load("rir_room.wav")
+    shaped = shape_rir(rir, find_direct_sound(rir))
+    _assert_convolutions_match(dry, (rir, shaped), len(dry))
+
+
+@pytest.mark.parametrize("n, taps", [(16001, 7001), (4999, 333), (1001, 4003), (2001, 1)])
+def test_shared_spectrum_convolution_odd_long_and_delta_kernels(n, taps):
+    # odd lengths, a kernel longer than the signal, and a one-sample delta
+    rng = np.random.default_rng(n + taps)
+    x = rng.standard_normal(n)
+    rir = rng.standard_normal(taps) * np.exp(-np.arange(taps) / max(taps / 4, 1.0))
+    shaped = shape_rir(rir, find_direct_sound(rir))
+    _assert_convolutions_match(x, (rir, shaped), n)
 
 
 def test_generate_pair_shaped_target_decays(asset_store):

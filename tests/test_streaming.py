@@ -103,6 +103,29 @@ def test_non_finite_sample_is_zeroed_and_counted(bad):
     assert reference.stats().nonfinite_hops == 0
 
 
+def test_non_finite_state_is_reset_and_counted():
+    graph = init_test_weights(build_model(parse_model_name("CRUSE4-32-1xGRU2")), 25)
+    hops = 0.1 * np.random.default_rng(4).standard_normal((12, CFG.hop_len))
+    engine = StreamingEnhancer(graph, CFG)
+    for hop in hops[:4]:
+        engine.process_hop(hop)
+    states = dict(engine.state.layer_states)
+    states[graph.bottleneck.name][0, 0, 0, 0] = np.nan
+    # the call that meets the NaN: finite output, every state array zeroed in place
+    assert np.isfinite(engine.process_hop(hops[4])).all()
+    assert engine.stats().state_resets == 1
+    assert all(engine.state.layer_states[name] is array for name, array in states.items())
+    assert not any(array.any() for array in states.values())
+    for chunk in (hops[5:7], hops[7], hops[8:12]):   # k = 2, 1, 4 from the zeroed state
+        assert np.isfinite(engine.process_hop(chunk.ravel())).all()
+    assert engine.stats().state_resets == 1
+    assert engine.stats().nonfinite_hops == 0
+    reference = StreamingEnhancer(graph, CFG)
+    for hop in hops:
+        reference.process_hop(hop)
+    assert reference.stats().state_resets == 0
+
+
 def test_samples_up_to_the_largest_float32_are_kept():
     graph = init_test_weights(build_model(parse_model_name("CRUSE4-32-1xGRU2")), 25)
     limit = float(np.finfo(np.float32).max)

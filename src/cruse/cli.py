@@ -59,7 +59,8 @@ def cmd_enhance(args) -> int:
     print(
         f"{format_model_name(graph.spec)}: {stats.frames} frames, "
         f"mean {stats.mean_frame_ms:.3f} ms/frame, max {stats.max_frame_ms:.3f} ms, "
-        f"realtime factor {stats.realtime_factor:.4f}, {clipped} clipped samples",
+        f"realtime factor {stats.realtime_factor:.4f}, {clipped} clipped samples, "
+        f"{stats.nonfinite_hops} non-finite hops, {stats.state_resets} state resets",
         file=sys.stderr,
     )
     return 0

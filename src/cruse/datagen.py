@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import fft
 
 from .audio_io import read_pipeline_wav
 from .dsp import SAMPLE_RATE
@@ -335,16 +334,30 @@ def sample_recipe(rng: np.random.Generator, store: AssetStore,
     )
 
 
+def _fast_len(n: int) -> int:
+    """The smallest ``2**a * 3**b * 5**c`` at least ``n``: a length the FFT takes fast."""
+    best = 1 << (n - 1).bit_length()
+    pow5 = 1
+    while pow5 < best:
+        odd = pow5
+        while odd < best:
+            # the least power-of-two multiple of the odd factor 3**b * 5**c that is >= n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        pow5 *= 5
+    return best
+
+
 def _convolve_each(x: np.ndarray, kernels, length: int) -> list[np.ndarray]:
     """The first ``length`` samples of the full convolution of ``x`` with each kernel.
 
-    One product of real FFTs per kernel, zero-padded to the fast length
-    ``next_fast_len`` gives for the full output; the spectrum of ``x`` is
-    taken once and shared by every kernel.
+    One product of real FFTs per kernel, zero-padded to the :func:`_fast_len`
+    of the full output; the spectrum of ``x`` is taken once and shared by
+    every kernel.
     """
-    n = fft.next_fast_len(len(x) + max(len(h) for h in kernels) - 1, True)
-    spectrum = fft.rfft(x, n)
-    return [fft.irfft(spectrum * fft.rfft(h, n), n)[:length] for h in kernels]
+    n = _fast_len(len(x) + max(len(h) for h in kernels) - 1)
+    spectrum = np.fft.rfft(x, n)
+    return [np.fft.irfft(spectrum * np.fft.rfft(h, n), n)[:length] for h in kernels]
 
 
 def generate_pair(recipe: MixtureRecipe, store: AssetStore) -> TrainingPair:

@@ -24,12 +24,29 @@ Weight conventions (recorded in saved weight bundles):
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 LEAKY_RELU_SLOPE = 0.2
 
 GRU_GATES = 3
 LSTM_GATES = 4
+
+# exp(708) is finite and 1 / (1 + exp(708)) a normal float, so clamping -x at
+# 708 keeps exp from overflowing and the result from going subnormal
+_SIGMOID_EXP_MAX = 708.0
+
+
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic function ``1 / (1 + exp(-x))``, elementwise.
+
+    ``exp`` never overflows, so no input warns under numpy's default error
+    handling, ±inf included; every result is a normal float in (0, 1], or
+    NaN for NaN.  ``out`` may be ``x``.
+    """
+    out = np.negative(x, out=out)
+    np.minimum(out, _SIGMOID_EXP_MAX, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def fc_forward(weight: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -67,7 +84,7 @@ def gru_step(w_input: np.ndarray, w_hidden: np.ndarray, b_input: np.ndarray,
         gh += b_hidden
         rz = gh[: 2 * w]
         rz += g[: 2 * w]
-        expit(rz, out=rz)
+        _sigmoid(rz, out=rz)
         n = gh[2 * w :]
         n *= rz[:w]
         n += g[2 * w :]
@@ -97,9 +114,9 @@ def lstm_step(w_input: np.ndarray, w_hidden: np.ndarray, b_input: np.ndarray,
     h, c = state
     for t, g in enumerate(gi):
         gates = g + w_hidden @ h + b_hidden
-        i_f = expit(gates[: 2 * w])
+        i_f = _sigmoid(gates[: 2 * w])
         c[...] = i_f[w:] * c + i_f[:w] * np.tanh(gates[2 * w : 3 * w])
-        h = ys[t] = expit(gates[3 * w :]) * np.tanh(c)
+        h = ys[t] = _sigmoid(gates[3 * w :]) * np.tanh(c)
     state[0] = h
     return ys
 
@@ -215,7 +232,7 @@ def activation_apply(kind: str, x: np.ndarray) -> np.ndarray:
     if kind == "leaky_relu":
         return np.maximum(x, LEAKY_RELU_SLOPE * x)
     if kind == "sigmoid":
-        return expit(x)
+        return _sigmoid(x)
     raise ValueError(f"unknown activation {kind!r}")
 
 

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -115,3 +116,72 @@ def test_header_bit_flips_raise_only_value_errors(tmp_path, fmt):
 def test_write_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         write_wav(tmp_path / "x.wav", np.zeros(10), 16000, fmt="pcm24")
+
+
+# ---------------------------------------------------------------------------
+# the RIFF reader and writer against scipy.io.wavfile, and hand-built headers
+
+
+def _riff(*chunks):
+    """A RIFF WAVE file of ``(chunk_id, body)`` chunks, each odd body padded."""
+    body = b"WAVE" + b"".join(
+        cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) & 1) for cid, data in chunks
+    )
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _extensible_fmt(subformat, bits):
+    guid = struct.pack("<H", subformat) + b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    width = bits // 8
+    return struct.pack("<HHIIHHHHI", 0xFFFE, 1, 16000, 16000 * width, width, bits, 22, bits,
+                       0x4) + guid
+
+
+@pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+def test_write_wav_bytes_equal_scipy(tmp_path, fmt):
+    x = 0.1 * np.random.default_rng(3).standard_normal(1001)
+    write_wav(tmp_path / "ours.wav", x, 16000, fmt=fmt)
+    stored = np.round(x * 32768).astype(np.int16) if fmt == "pcm16" else x.astype(np.float32)
+    wavfile.write(tmp_path / "scipy.wav", 16000, stored)
+    ours = (tmp_path / "ours.wav").read_bytes()
+    assert ours == (tmp_path / "scipy.wav").read_bytes()
+    assert len(ours) == (44 if fmt == "pcm16" else 58) + stored.nbytes
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.float32, np.float64])
+def test_reads_scipy_written_files(tmp_path, dtype):
+    x = 0.1 * np.random.default_rng(4).standard_normal(777)
+    stored = np.round(x * 32768).astype(dtype) if dtype == np.int16 else x.astype(dtype)
+    path = tmp_path / "x.wav"
+    wavfile.write(path, 22050, stored)
+    y, rate = read_wav(path)
+    assert rate == 22050 and y.dtype == np.float64
+    scale = 32768.0 if dtype == np.int16 else 1.0
+    np.testing.assert_array_equal(y, stored.astype(np.float64) / scale)
+
+
+@pytest.mark.parametrize("subformat, dtype", [(1, "<i2"), (3, "<f4")], ids=["pcm16", "float32"])
+def test_reads_extensible_header(tmp_path, subformat, dtype):
+    samples = (np.arange(-50, 50) * 300).astype(dtype)
+    path = tmp_path / "x.wav"
+    fmt = _extensible_fmt(subformat, 8 * samples.itemsize)
+    path.write_bytes(_riff((b"fmt ", fmt), (b"data", samples.tobytes())))
+    y, rate = read_wav(path)
+    scale = 32768.0 if subformat == 1 else 1.0
+    assert rate == 16000
+    np.testing.assert_array_equal(y, samples.astype(np.float64) / scale)
+    bad_guid = fmt[:-1] + b"\x72"
+    path.write_bytes(_riff((b"fmt ", bad_guid), (b"data", samples.tobytes())))
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*subformat"):
+        read_wav(path)
+
+
+def test_skips_an_odd_sized_list_chunk_before_data(tmp_path):
+    samples = np.array([1, -2, 3, 32767, -32768], dtype="<i2")
+    fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+    info = b"INFOISFT\x05\x00\x00\x00test\x00"  # 17 bytes, then a pad byte
+    path = tmp_path / "x.wav"
+    path.write_bytes(_riff((b"fmt ", fmt), (b"LIST", info), (b"data", samples.tobytes())))
+    assert len(info) % 2 == 1
+    y, _ = read_wav(path)
+    np.testing.assert_array_equal(y, samples / 32768.0)

@@ -46,8 +46,26 @@ def test_enhance_preserves_length_and_reports_stats(tmp_path, capsys):
     code, _, err = run(capsys, "enhance", str(src), str(dst), "--model", "CRUSE4-32-1xGRU2")
     assert code == 0
     assert "ms/frame" in err and "realtime factor" in err
+    assert "0 non-finite hops, 0 state resets" in err
     out, _ = read_wav(dst)
     assert len(out) == SR + 40
+
+
+def test_enhance_reports_hops_zeroed_for_samples_beyond_float32(tmp_path, capsys):
+    # a 64-bit float WAV holds finite samples no float32 can: the stream zeroes
+    # the hop that holds one and counts it
+    from scipy.io import wavfile
+
+    x = 0.1 * np.random.default_rng(3).standard_normal(SR)
+    x[8000] = 1e200
+    src = tmp_path / "in.wav"
+    wavfile.write(src, SR, x)
+    code, _, err = run(capsys, "enhance", str(src), str(tmp_path / "out.wav"),
+                       "--model", "NSnet2-32")
+    assert code == 0
+    assert ", 1 non-finite hops, 0 state resets" in err
+    out, _ = read_wav(tmp_path / "out.wav")
+    assert len(out) == SR and np.isfinite(out).all()
 
 
 def test_enhance_with_bundle(tmp_path, capsys):

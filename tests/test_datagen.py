@@ -8,6 +8,7 @@ from cruse.datagen import (
     AssetStore,
     MixtureRecipe,
     _convolve_each,
+    _fast_len,
     active_rms,
     assemble_clip,
     classify_reverberant,
@@ -345,6 +346,13 @@ def test_shared_spectrum_convolution_odd_long_and_delta_kernels(n, taps):
     rir = rng.standard_normal(taps) * np.exp(-np.arange(taps) / max(taps / 4, 1.0))
     shaped = shape_rir(rir, find_direct_sound(rir))
     _assert_convolutions_match(x, (rir, shaped), n)
+
+
+def test_fast_len_matches_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    for n in [*range(1, 5000), *range(150_000, 170_001, 7)]:
+        assert _fast_len(n) == next_fast_len(n, True), n
 
 
 def test_generate_pair_shaped_target_decays(asset_store):

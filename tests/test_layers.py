@@ -6,6 +6,7 @@ import pytest
 from cruse.layers import (
     GRU_GATES,
     LSTM_GATES,
+    _sigmoid,
     activation_apply,
     conv2d_step,
     fc_forward,
@@ -435,6 +436,31 @@ def test_activations():
     for kind in ("tanh", "none"):  # no layer is built with either
         with pytest.raises(ValueError):
             activation_apply(kind, x)
+
+
+def test_sigmoid_matches_expit_without_warnings():
+    # numpy's exp and the C library's differ by an ulp on some inputs; the
+    # clamp at exp(708) gives 3.3e-308 where expit gives a subnormal or zero
+    from scipy.special import expit
+
+    rng = np.random.default_rng(11)
+    x = np.concatenate([
+        10.0 * rng.standard_normal(200_000),
+        rng.uniform(-800.0, 800.0, 200_000),
+        [np.inf, -np.inf, np.nan, 1e300, -1e300, 0.0, -0.0, 36.0, 37.0,
+         708.0, -708.0, 709.0, -709.0, 745.0, -745.0, -746.0, 5e-324],
+    ])
+    # every floating-point error numpy warns of by default raises; exp(-x)
+    # underflowing to 0 for large x is exact here, and numpy ignores it
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        y = _sigmoid(x)
+        inplace = x.copy()
+        assert _sigmoid(inplace, out=inplace) is inplace
+    np.testing.assert_allclose(y, expit(x), rtol=1e-15, atol=1e-300)
+    np.testing.assert_array_equal(inplace, y)
+    assert np.isnan(y[np.isnan(x)]).all()
+    finite = y[~np.isnan(x)]
+    assert ((finite >= np.finfo(np.float64).tiny) & (finite <= 1.0)).all()
 
 
 def test_parallel_rnn_single_group_is_plain_gru():

@@ -19,7 +19,6 @@ from . import datagen as dg
 from . import metrics as mt
 from .audio_io import read_pipeline_wav, write_wav
 from .dsp import SAMPLE_RATE, StftConfig, istft, make_window, stft
-from .layers import gru_step, lstm_step
 from .macs import macs_gru, macs_lstm, macs_model
 from .models import (
     SKIP_KINDS,
@@ -31,7 +30,6 @@ from .models import (
     init_test_weights,
     load_weights,
     parse_model_name,
-    rnn_block_step,
 )
 from .streaming import enhance_signal
 
@@ -93,6 +91,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_datagen(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be at least 0, got {args.count}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     store = dg.AssetStore.from_manifest(args.manifest)
@@ -203,24 +203,24 @@ def _check_streaming_equivalence():
     return err < 1e-6, f"max gain difference {err:.2e}"
 
 
-def _block_diagonal_cell(layer, n: int):
-    """Cell n of every group of ``layer`` as one cell of the whole width.
+def _block_diagonal_layer(layer):
+    """``layer``'s P groups as one group of the whole width.
 
-    Returns ``(w_input, w_hidden, b_input, b_hidden)`` for ``gru_step`` or
-    ``lstm_step``: each gate's matrices are block-diagonal with the P group
-    matrices, and its biases the group biases in order.
+    Cell n of the result has gate matrices block-diagonal with the P groups'
+    cell-n matrices, and biases the group biases in order.
     """
-    p, _, rows, w = layer.w_hidden.shape
+    p, cells, rows, w = layer.w_hidden.shape
     gates = rows // w
     mats = []
     for stacked in (layer.w_input, layer.w_hidden):
-        big = np.zeros((gates, p, w, p, w))
+        big = np.zeros((cells, gates, p, w, p, w))
         for g in range(p):
-            big[:, g, :, g] = stacked[g, n].reshape(gates, w, w)
-        mats.append(big.reshape(gates * p * w, p * w))
-    biases = [b[:, n].reshape(p, gates, w).transpose(1, 0, 2).ravel()
+            big[:, :, g, :, g] = stacked[g].reshape(cells, gates, w, w)
+        mats.append(big.reshape(1, cells, gates * p * w, p * w))
+    biases = [b.reshape(p, cells, gates, w).transpose(1, 2, 0, 3).reshape(1, cells, rows * p)
               for b in (layer.b_input, layer.b_hidden)]
-    return (*mats, *biases)
+    return dataclasses.replace(layer, w_input=mats[0], w_hidden=mats[1],
+                               b_input=biases[0], b_hidden=biases[1])
 
 
 def _check_block_diagonal(name: str):
@@ -230,12 +230,9 @@ def _check_block_diagonal(name: str):
     states = rng.standard_normal(layer.zero_state().shape)
     p, cells, vectors, w = states.shape
     x = rng.standard_normal((1, p * w))
-    grouped = rnn_block_step(layer, x, states.copy())
-    step = gru_step if layer.kind == "gru" else lstm_step
-    full = x
-    for n in range(cells):
-        state = states[:, n].transpose(1, 0, 2).reshape(vectors, p * w)
-        full = step(*_block_diagonal_cell(layer, n), full, state)
+    grouped = layer.forward(x, states.copy())
+    merged = states.transpose(1, 2, 0, 3).reshape(1, cells, vectors, p * w)
+    full = _block_diagonal_layer(layer).forward(x, merged)
     err = float(np.max(np.abs(grouped - full)))
     return err < 1e-6, f"{p} groups of {w}, max difference {err:.2e}"
 

@@ -14,6 +14,7 @@ e.g. ``CRUSE4-128-1xGRU4``: 4 encoder/decoder layers with channels
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from dataclasses import asdict, dataclass, field, fields
@@ -212,6 +213,10 @@ class FcLayer:
         out_dims, in_dims = self.weight.shape
         return macs_fc(in_dims, out_dims)
 
+    def forward(self, x: np.ndarray, state=None) -> np.ndarray:
+        """``(T, in)`` to ``(T, out)``, activation applied; stateless."""
+        return activation_apply(self.activation, fc_forward(self.weight, self.bias, x))
+
 
 @dataclass
 class RnnLayer:
@@ -237,11 +242,6 @@ class RnnLayer:
             for f in ("w_input", "w_hidden", "b_input", "b_hidden")
         ]
 
-    @property
-    def width(self) -> int:
-        p, _, _, w = self.w_hidden.shape
-        return p * w
-
     def macs(self) -> int:
         p, cells, _, w = self.w_hidden.shape
         return p * cells * (macs_gru if self.kind == "gru" else macs_lstm)(w, w)
@@ -250,6 +250,39 @@ class RnnLayer:
         """Zeros ``(P, N, vectors, w)``: per group and cell, ``h`` (GRU) or ``h, c`` (LSTM)."""
         p, cells, _, w = self.w_hidden.shape
         return np.zeros((p, cells, 1 if self.kind == "gru" else 2, w))
+
+    def forward(self, x: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """Step the block over a block of frames ``(T, ...)``.
+
+        Each frame is flattened row-major (a CRUSE bottleneck's ``(C, F)``
+        channel-major) and split into P equal contiguous chunks; group g runs
+        its own stack of N cells over chunk g, and the group outputs,
+        concatenated in order, take the input's shape.  This equals a stack
+        of N cells whose gate matrices are block-diagonal with the P group
+        matrices (``cruse selftest`` checks it).
+
+        ``state`` is the ``zero_state()`` array, or one advanced from it:
+        ``state[g, n]`` holds the vectors cell n of group g carries, ``h``
+        for a GRU and ``h, c`` for an LSTM.  It is advanced in place.
+
+        Raises:
+            ValueError: unless ``x`` has a block axis and a frame size
+                divisible by P.
+        """
+        p, cells = self.w_hidden.shape[:2]
+        width = math.prod(x.shape[1:])
+        if x.ndim < 2 or width % p:
+            raise ValueError(
+                f"expected (T, width) with width divisible by {p} groups, got {x.shape}"
+            )
+        step = gru_step if self.kind == "gru" else lstm_step
+        outs = []
+        for g, y in enumerate(np.split(x.reshape(len(x), width), p, axis=1)):
+            for n in range(cells):
+                y = step(self.w_input[g, n], self.w_hidden[g, n], self.b_input[g, n],
+                         self.b_hidden[g, n], y, state[g, n])
+            outs.append(y)
+        return np.concatenate(outs, axis=1).reshape(x.shape)
 
 
 @dataclass
@@ -273,6 +306,10 @@ class ConvLayer:
         _, c_in, kt, _ = self.weight.shape
         return np.zeros((kt - 1, c_in, self.in_freq))
 
+    def forward(self, x: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """``(T, c_in, in_freq)`` to ``(T, c_out, out_freq)``, activation applied."""
+        return activation_apply(self.activation, conv2d_step(self.weight, self.bias, x, state))
+
 
 @dataclass
 class TconvLayer:
@@ -294,6 +331,11 @@ class TconvLayer:
         """Zeros: no frame before the first leaves a pending contribution."""
         return np.zeros((len(self.bias), self.f_target))
 
+    def forward(self, x: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """``(T, c_in, in_freq)`` to ``(T, c_out, f_target)``, activation applied."""
+        y = tconv2d_step(self.weight, self.bias, x, state, self.f_target)
+        return activation_apply(self.activation, y)
+
 
 @dataclass
 class SkipLayer:
@@ -310,6 +352,10 @@ class SkipLayer:
 
     def macs(self) -> int:
         return macs_skip_conv1x1(self.scale.size, self.freq) if self.kind == "add_conv1x1" else 0
+
+    def forward(self, enc: np.ndarray, dec: np.ndarray) -> np.ndarray:
+        """The decoder input joined with the encoder output it skips to."""
+        return skip_combine(self.kind, enc, dec, self.scale, self.bias)
 
 
 @dataclass
@@ -349,29 +395,43 @@ def conv_freq_sizes(num_bins: int, layers: int) -> list[int]:
     return sizes
 
 
-def _zero_rnn(name: str, kind: str, groups: int, cells: int, width: int) -> RnnLayer:
+def _zero_rnn(zeros, name: str, kind: str, groups: int, cells: int, width: int) -> RnnLayer:
     rows = (groups, cells, (GRU_GATES if kind == "gru" else LSTM_GATES) * width)
-    return RnnLayer(name, kind, np.zeros(rows + (width,)), np.zeros(rows + (width,)),
-                    np.zeros(rows), np.zeros(rows))
+    return RnnLayer(name, kind, zeros(rows + (width,)), zeros(rows + (width,)),
+                    zeros(rows), zeros(rows))
 
 
 def build_model(spec: ModelSpec) -> ModelGraph:
     """Construct a zero-weighted graph with all shapes resolved."""
+    return _build_graph(spec, np.zeros)
+
+
+def _zero_view(shape) -> np.ndarray:
+    """Read-only zeros of ``shape`` that allocate nothing: every stride is 0."""
+    return np.broadcast_to(0.0, shape)
+
+
+def _build_graph(spec: ModelSpec, zeros) -> ModelGraph:
+    """The graph of ``spec`` with each array made by ``zeros(shape)``.
+
+    With :func:`_zero_view` it is a graph of shapes alone, whose manifest and
+    parameter count are those of ``build_model(spec)``.
+    """
     k = spec.num_bins
     if spec.family == "nsnet2":
         r = spec.rnn_width
         stack = [
-            FcLayer("fc_in", np.zeros((r, k)), np.zeros(r), "relu"),
-            _zero_rnn("gru1", "gru", 1, 1, r),
-            _zero_rnn("gru2", "gru", 1, 1, r),
-            FcLayer("fc1", np.zeros((NSNET2_FC_WIDTH, r)), np.zeros(NSNET2_FC_WIDTH), "relu"),
+            FcLayer("fc_in", zeros((r, k)), zeros(r), "relu"),
+            _zero_rnn(zeros, "gru1", "gru", 1, 1, r),
+            _zero_rnn(zeros, "gru2", "gru", 1, 1, r),
+            FcLayer("fc1", zeros((NSNET2_FC_WIDTH, r)), zeros(NSNET2_FC_WIDTH), "relu"),
             FcLayer(
                 "fc2",
-                np.zeros((NSNET2_FC_WIDTH, NSNET2_FC_WIDTH)),
-                np.zeros(NSNET2_FC_WIDTH),
+                zeros((NSNET2_FC_WIDTH, NSNET2_FC_WIDTH)),
+                zeros(NSNET2_FC_WIDTH),
                 "relu",
             ),
-            FcLayer("fc_out", np.zeros((k, NSNET2_FC_WIDTH)), np.zeros(k), "sigmoid"),
+            FcLayer("fc_out", zeros((k, NSNET2_FC_WIDTH)), zeros(k), "sigmoid"),
         ]
         return ModelGraph(spec=spec, stack=stack)
 
@@ -383,8 +443,8 @@ def build_model(spec: ModelSpec) -> ModelGraph:
     encoder = [
         ConvLayer(
             f"enc{l + 1}",
-            np.zeros((chans[l + 1], chans[l], kt, kf)),
-            np.zeros(chans[l + 1]),
+            zeros((chans[l + 1], chans[l], kt, kf)),
+            zeros(chans[l + 1]),
             "leaky_relu",
             in_freq=freqs[l],
             out_freq=freqs[l + 1],
@@ -394,7 +454,7 @@ def build_model(spec: ModelSpec) -> ModelGraph:
 
     p = spec.parallel_groups
     group_width = spec.channels[-1] * freqs[-1] // p
-    bottleneck = _zero_rnn("rnn", spec.rnn_kind, p, spec.rnn_layers, group_width)
+    bottleneck = _zero_rnn(zeros, "rnn", spec.rnn_kind, p, spec.rnn_layers, group_width)
 
     concat = spec.skip_kind == "concat"
     decoder = []
@@ -403,12 +463,12 @@ def build_model(spec: ModelSpec) -> ModelGraph:
         c_out = chans[L - 1 - j]
         # Stored as the tap matrix tconv2d_step multiplies with, which it then
         # takes as a view instead of copying the weight on every call.
-        taps = _tconv_taps(np.zeros((c_out, c_in, kt, kf)))
+        taps = _tconv_taps(zeros((c_out, c_in, kt, kf)))
         decoder.append(
             TconvLayer(
                 f"dec{j + 1}",
                 taps.reshape(c_out, kt, kf, c_in).transpose(0, 3, 1, 2),
-                np.zeros(c_out),
+                zeros(c_out),
                 "sigmoid" if j == L - 1 else "leaky_relu",
                 in_freq=freqs[L - j],
                 f_target=freqs[L - 1 - j],
@@ -420,7 +480,7 @@ def build_model(spec: ModelSpec) -> ModelGraph:
         c = spec.channels[L - 1 - j]
         freq = freqs[L - j]
         if spec.skip_kind == "add_conv1x1":
-            skips.append(SkipLayer(f"skip{j + 1}", spec.skip_kind, freq, np.zeros(c), np.zeros(c)))
+            skips.append(SkipLayer(f"skip{j + 1}", spec.skip_kind, freq, zeros(c), zeros(c)))
         else:
             skips.append(SkipLayer(f"skip{j + 1}", spec.skip_kind, freq))
 
@@ -572,7 +632,9 @@ def load_weights(path) -> ModelGraph:
     Raises:
         ValueError: on bad magic, a malformed manifest or one that differs
             from the manifest its spec implies, a blob whose size does not
-            match the declared parameter count, or a non-finite parameter.
+            match the declared parameter count (checked before any array is
+            made), parameters that do not fit in memory, or a non-finite
+            parameter.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -590,21 +652,28 @@ def load_weights(path) -> ModelGraph:
         if not isinstance(manifest, dict):
             raise ValueError(f"{path}: manifest is a JSON {type(manifest).__name__}, not an object")
 
+        # the manifest and the blob size are checked on a graph of shapes
+        # alone, so that a bundle allocates its arrays only once both hold
         try:
-            graph = build_model(_spec_from_manifest(manifest))
+            spec = _spec_from_manifest(manifest)
+            shapes = _build_graph(spec, _zero_view)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from exc
-        implied = _manifest(graph)
+        implied = _manifest(shapes)
         for key in sorted(implied.keys() | manifest.keys()):
             if manifest.get(key) != implied.get(key):
                 raise ValueError(f"{path}: malformed manifest ({key!r} is not what its spec implies)")
 
-        expected = graph.param_count() * 4
-        if size - off != expected:
+        count = shapes.param_count()
+        if size - off != count * 4:
             raise ValueError(
-                f"{path}: weight blob is {size - off} bytes, expected {expected} "
-                f"({graph.param_count()} float32 parameters)"
+                f"{path}: weight blob is {size - off} bytes, expected {count * 4} "
+                f"({count} float32 parameters)"
             )
+        try:
+            graph = build_model(spec)
+        except MemoryError as exc:
+            raise ValueError(f"{path}: {count} parameters do not fit in memory") from exc
         return _fill_params(graph, _blob_source(fh, path))
 
 
@@ -622,37 +691,6 @@ class StreamState:
     def __init__(self, graph: ModelGraph):
         stateful = (layer for layer in graph.iter_layers() if hasattr(layer, "zero_state"))
         self.layer_states = {layer.name: layer.zero_state() for layer in stateful}
-
-
-def rnn_block_step(layer: RnnLayer, x: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Step a grouped recurrent block over a block of frames ``(T, width)``.
-
-    The last axis of ``x`` is split into P equal contiguous chunks, and
-    group g runs its own stack of N cells over chunk g; the group outputs
-    are concatenated in order.  This equals a stack of N cells whose gate
-    matrices are block-diagonal with the P group matrices (``cruse
-    selftest`` checks it).
-
-    ``states`` is the layer's ``zero_state()`` array, or one advanced from
-    it: ``states[g, n]`` holds the vectors cell n of group g carries, ``h``
-    for a GRU and ``h, c`` for an LSTM.  It is advanced in place.
-
-    Raises:
-        ValueError: unless ``x`` is 2-D with a width divisible by P.
-    """
-    p, cells = layer.w_hidden.shape[:2]
-    if x.ndim != 2 or x.shape[1] % p:
-        raise ValueError(f"expected (T, width) with width divisible by {p} groups, got {x.shape}")
-    chunk = x.shape[1] // p
-    step = gru_step if layer.kind == "gru" else lstm_step
-    outs = []
-    for g in range(p):
-        y = x[:, g * chunk : (g + 1) * chunk]
-        for n in range(cells):
-            y = step(layer.w_input[g, n], layer.w_hidden[g, n], layer.b_input[g, n],
-                     layer.b_hidden[g, n], y, states[g, n])
-        outs.append(y)
-    return np.concatenate(outs, axis=1)
 
 
 def infer_frame(graph: ModelGraph, state: StreamState, features: np.ndarray) -> np.ndarray:
@@ -674,28 +712,17 @@ def infer_frame(graph: ModelGraph, state: StreamState, features: np.ndarray) -> 
     x = features.reshape(-1, k)
     if graph.spec.family == "nsnet2":
         for layer in graph.stack:
-            if isinstance(layer, FcLayer):
-                x = activation_apply(layer.activation, fc_forward(layer.weight, layer.bias, x))
-            else:
-                x = rnn_block_step(layer, x, ls[layer.name])
+            x = layer.forward(x, ls.get(layer.name))
         return x.reshape(features.shape)
 
     x = x[:, None, :]  # 1 input channel
     enc_outs = []
     for layer in graph.encoder:
-        y = conv2d_step(layer.weight, layer.bias, x, ls[layer.name])
-        x = activation_apply(layer.activation, y)
+        x = layer.forward(x, ls[layer.name])
         enc_outs.append(x)
-
-    flat = x.reshape(len(x), graph.bottleneck.width)  # channel-major per frame
-    flat = rnn_block_step(graph.bottleneck, flat, ls[graph.bottleneck.name])
-    x = flat.reshape(x.shape)
-
-    for j, layer in enumerate(graph.decoder):
-        skip = graph.skips[j]
-        x = skip_combine(skip.kind, enc_outs.pop(), x, skip.scale, skip.bias)
-        y = tconv2d_step(layer.weight, layer.bias, x, ls[layer.name], layer.f_target)
-        x = activation_apply(layer.activation, y)
+    x = graph.bottleneck.forward(x, ls[graph.bottleneck.name])
+    for layer, skip in zip(graph.decoder, graph.skips):
+        x = layer.forward(skip.forward(enc_outs.pop(), x), ls[layer.name])
     return x[:, 0].reshape(features.shape)
 
 

@@ -1,6 +1,6 @@
 """Shared fixtures: synthetic audio assets and a manifest for datagen tests,
-malformed weight bundles and truncated WAV files; the hypothesis profile of
-the property tests."""
+malformed and hostile weight bundles and truncated WAV files; the hypothesis
+profile of the property tests."""
 
 import json
 import math
@@ -164,6 +164,40 @@ def malformed_bundle(request, tmp_path):
         params[10] = np.nan if defect == "nan-weight" else np.inf
         blob = params.tobytes()
     _write_bundle(path, manifest, blob)
+    return path
+
+
+@pytest.fixture(params=["cruse-8192-groups", "nsnet2-width-1e7"])
+def hostile_bundle(request, tmp_path):
+    """A small bundle whose spec implies arrays of hundreds of MB or more.
+
+    ``cruse-8192-groups`` is a 210-byte manifest holding only a spec whose
+    graph takes 1.6 GB of float64 weights.  ``nsnet2-width-1e7`` is the
+    full manifest an NSnet2 of GRU width 10**7 implies, with an empty blob.
+    """
+    from cruse.models import build_model, nsnet2_spec, save_weights
+
+    path = tmp_path / f"{request.param}.cwb"
+    if request.param == "cruse-8192-groups":
+        spec = {
+            "family": "cruse", "num_bins": 5, "rnn_width": 0, "layers": 2,
+            "channels": [4096, 4096], "rnn_kind": "gru", "rnn_layers": 1,
+            "parallel_groups": 8192, "skip_kind": "add", "kernel": [2, 3],
+        }
+        _write_bundle(path, {"spec": spec}, b"")
+        return path
+    width = 10**7
+    save_weights(build_model(nsnet2_spec(16)), path)
+    manifest, _ = _bundle_parts(path)
+    manifest["spec"]["rnn_width"] = width
+    manifest["name"] = f"NSnet2-{width}"
+    for entry in manifest["layers"]:  # 16 is the GRU width and 48 its 3 gates
+        for array in entry["arrays"]:
+            array["shape"] = [{16: width, 48: 3 * width}.get(d, d) for d in array["shape"]]
+    manifest["total_params"] = sum(
+        math.prod(a["shape"]) for e in manifest["layers"] for a in e["arrays"]
+    )
+    _write_bundle(path, manifest, b"")
     return path
 
 

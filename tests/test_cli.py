@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from cruse.cli import main
 from cruse.models import build_model, init_test_weights, parse_model_name, save_weights
 
 SR = 16000
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -107,6 +111,33 @@ def test_enhance_rejects_malformed_bundle(tmp_path, capsys, malformed_bundle):
     assert not dst.exists()
 
 
+# Runs the CLI in a fresh process and prints its exit code and peak resident
+# memory in kB.  The peak is the process's own VmHWM: on Linux the ru_maxrss
+# of an exec'd child starts at its parent's peak, here the test runner's.
+CLI_PROBE = """
+import re, sys
+from cruse.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(code, re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+"""
+
+
+def test_enhance_rejects_hostile_bundle_before_allocating(tmp_path, hostile_bundle):
+    src = tmp_path / "in.wav"
+    write_wav(src, np.zeros(SR // 10), SR)
+    argv = ["enhance", str(src), str(tmp_path / "out.wav"), "--bundle", str(hostile_bundle)]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-c", CLI_PROBE, *argv], env=env,
+                            capture_output=True, text=True, timeout=120, check=False)
+    assert result.returncode == 0, result.stderr
+    code, peak_kb = map(int, result.stdout.split())
+    assert code == 1
+    assert result.stderr.startswith(f"error: {hostile_bundle}:"), result.stderr
+    assert "Traceback" not in result.stderr
+    assert peak_kb < 100 * 1024
+
+
 def test_enhance_rejects_input_shorter_than_one_hop(tmp_path, capsys):
     src = tmp_path / "short.wav"
     dst = tmp_path / "out.wav"
@@ -195,6 +226,17 @@ def test_datagen_zero_count(tmp_path, capsys, asset_dir):
     )
     assert code == 0
     assert (out / "recipes.log").read_text() == ""
+
+
+def test_datagen_negative_count_errors(tmp_path, capsys, asset_dir):
+    out = tmp_path / "out"
+    code, _, err = run(
+        capsys, "datagen", "--manifest", str(asset_dir / "manifest.csv"),
+        "--count", "-3", "--out", str(out),
+    )
+    assert code == 1
+    assert err.startswith("error:") and "--count" in err
+    assert not out.exists()
 
 
 def test_datagen_deterministic_and_logged(tmp_path, capsys, asset_dir):

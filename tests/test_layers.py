@@ -15,7 +15,7 @@ from cruse.layers import (
     skip_combine,
     tconv2d_step,
 )
-from cruse.models import RnnLayer, rnn_block_step
+from cruse.models import RnnLayer
 
 
 def cell_arrays(make, gates, in_dims, width):
@@ -282,8 +282,8 @@ def test_primitives_reject_a_frame_without_its_block_axis(primitive):
         "tconv": lambda: tconv2d_step(
             np.zeros((2, 3, 2, 3)), np.zeros(2), np.zeros((3, 11)), np.zeros((2, 21)), 21
         ),
-        "rnn_block": lambda: rnn_block_step(
-            rnn_layer("gru", [[zero_cell(GRU_GATES, 3, 3)]]), np.zeros(3), np.zeros((1, 1, 1, 3))
+        "rnn_block": lambda: rnn_layer("gru", [[zero_cell(GRU_GATES, 3, 3)]]).forward(
+            np.zeros(3), np.zeros((1, 1, 1, 3))
         ),
     }
     with pytest.raises(ValueError, match=r"\(T, "):
@@ -468,7 +468,7 @@ def test_parallel_rnn_single_group_is_plain_gru():
     w = random_gru(rng, 6, 6)
     x = rng.standard_normal((1, 6))
     h = rng.standard_normal((1, 6))
-    y_grouped = rnn_block_step(rnn_layer("gru", [[w]]), x, h.reshape(1, 1, 1, 6).copy())
+    y_grouped = rnn_layer("gru", [[w]]).forward(x, h.reshape(1, 1, 1, 6).copy())
     y_plain = gru_step(*w, x, h)
     np.testing.assert_array_equal(y_grouped, y_plain)
 
@@ -476,7 +476,7 @@ def test_parallel_rnn_single_group_is_plain_gru():
 def test_parallel_rnn_zero_group_outputs_zero():
     rng = np.random.default_rng(9)
     layer = rnn_layer("gru", [[random_gru(rng, 3, 3)], [zero_cell(GRU_GATES, 3, 3)]])
-    y = rnn_block_step(layer, rng.standard_normal((1, 6)), layer.zero_state())[0]
+    y = layer.forward(rng.standard_normal((1, 6)), layer.zero_state())[0]
     np.testing.assert_array_equal(y[3:], np.zeros(3))
     assert np.any(y[:3] != 0)
 
@@ -487,8 +487,8 @@ def test_parallel_rnn_block_equals_frame_loop():
     xs = rng.standard_normal((5, 6))
     frame_states, block_states = layer.zero_state(), layer.zero_state()
     assert frame_states.shape == (2, 1, 2, 3)
-    looped = np.concatenate([rnn_block_step(layer, x[None], frame_states) for x in xs])
-    np.testing.assert_allclose(rnn_block_step(layer, xs, block_states), looped, rtol=0, atol=1e-12)
+    looped = np.concatenate([layer.forward(x[None], frame_states) for x in xs])
+    np.testing.assert_allclose(layer.forward(xs, block_states), looped, rtol=0, atol=1e-12)
     np.testing.assert_allclose(block_states, frame_states, rtol=0, atol=1e-12)
 
 
@@ -496,7 +496,7 @@ def test_parallel_rnn_indivisible_length_errors():
     rng = np.random.default_rng(11)
     layer = rnn_layer("gru", [[random_gru(rng, 2, 2)]] * 3)
     with pytest.raises(ValueError, match="divisible"):
-        rnn_block_step(layer, np.zeros((1, 7)), layer.zero_state())
+        layer.forward(np.zeros((1, 7)), layer.zero_state())
 
 
 def test_skip_combine_variants():

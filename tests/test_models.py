@@ -1,10 +1,13 @@
+import collections
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import cruse.models
 from cruse.cli import _check_block_diagonal
 from cruse.layers import _tconv_taps, tconv2d_step
 from cruse.models import (
@@ -12,6 +15,7 @@ from cruse.models import (
     BUNDLE_MAGIC,
     LCG_INC,
     LCG_MULT,
+    SKIP_KINDS,
     FcLayer,
     RnnLayer,
     StreamState,
@@ -97,7 +101,8 @@ def test_nsnet2_layer_dims():
 def test_cruse_bottleneck_grouping():
     graph = build_model(parse_model_name("CRUSE4-128-1xGRU4"))
     assert conv_freq_sizes(161, 4) == [161, 81, 41, 21, 11]
-    assert graph.bottleneck.width == 128 * 11
+    p, _, _, w = graph.bottleneck.w_hidden.shape
+    assert p * w == 128 * 11
     assert graph.bottleneck.w_hidden.shape == (4, 1, 3 * 352, 352)  # 4 groups of 1 GRU
 
 
@@ -311,6 +316,25 @@ def test_bundle_malformed_manifest_or_non_finite_weight_errors(malformed_bundle)
         load_weights(malformed_bundle)
 
 
+def test_hostile_bundle_raises_value_error_naming_the_path(hostile_bundle):
+    # the loader checks the manifest and the blob size before it allocates
+    # (test_cli checks the memory this takes, in a subprocess)
+    with pytest.raises(ValueError, match=re.escape(str(hostile_bundle))):
+        load_weights(hostile_bundle)
+
+
+def test_bundle_that_does_not_fit_in_memory_raises_value_error(tmp_path, monkeypatch):
+    path = tmp_path / "w.cwb"
+    save_weights(init_test_weights(build_model(nsnet2_spec(16)), 1), path)
+
+    def out_of_memory(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(cruse.models, "build_model", out_of_memory)
+    with pytest.raises(ValueError, match="do not fit in memory"):
+        load_weights(path)
+
+
 # ---------------------------------------------------------------------------
 # inference
 
@@ -408,6 +432,72 @@ def test_zero_frame_block_returns_no_gains_and_keeps_the_state(name):
     assert infer_frame(graph, state, np.zeros((0, 161))).shape == (0, 161)
     for key, array in state.layer_states.items():
         np.testing.assert_array_equal(array, before[key], err_msg=key)
+
+
+def _forward_in_wiring_order(graph, states, feats):
+    """``infer_frame``'s wiring of a ``(T, bins)`` block, written out with
+    each layer's ``forward``."""
+    if graph.spec.family == "nsnet2":
+        x = feats
+        for layer in graph.stack:
+            x = layer.forward(x, states.get(layer.name))
+        return x
+    encoded = [feats[:, None]]
+    for layer in graph.encoder:
+        encoded.append(layer.forward(encoded[-1], states[layer.name]))
+    x = graph.bottleneck.forward(encoded[-1], states[graph.bottleneck.name])
+    for j, (layer, skip) in enumerate(zip(graph.decoder, graph.skips)):
+        x = layer.forward(skip.forward(encoded[-1 - j], x), states[layer.name])
+    return x[:, 0]
+
+
+FORWARD_SPECS = [nsnet2_spec(32)] + [
+    cruse_spec(3, 32, kind, rnn_layers=2, parallel_groups=2, skip_kind=skip, kernel=kernel)
+    for skip in SKIP_KINDS for kernel in ((2, 3), (1, 3)) for kind in ("gru", "lstm")
+]
+
+
+@pytest.mark.parametrize(
+    "spec", FORWARD_SPECS,
+    ids=lambda s: f"{format_model_name(s)}-{s.skip_kind}-{s.kernel[0]}x{s.kernel[1]}",
+)
+def test_layer_forwards_in_wiring_order_equal_infer_frame(spec):
+    graph = init_test_weights(build_model(spec), 9)
+    feats = np.random.default_rng(9).standard_normal((5, 161))
+    state, by_hand = StreamState(graph), StreamState(graph).layer_states
+    for block in (feats[:1], feats[1:]):
+        gains = infer_frame(graph, state, block)
+        np.testing.assert_array_equal(_forward_in_wiring_order(graph, by_hand, block), gains)
+    assert by_hand.keys() == state.layer_states.keys()
+    for key, array in state.layer_states.items():
+        np.testing.assert_array_equal(by_hand[key], array, err_msg=key)
+
+
+@pytest.mark.parametrize(
+    "name", ["NSnet2-32", "CRUSE3-32-2xGRU2", "CRUSE4-64-1xGRU4", "CRUSE3-32-2xLSTM2"]
+)
+@pytest.mark.parametrize("frames", [1, 3])
+def test_infer_frame_calls_each_primitive_through_its_module_binding(name, frames, monkeypatch):
+    # a profiler that rebinds the cruse.models primitives sees every call:
+    # one per cell of every group, and one per conv and tconv layer
+    calls = collections.Counter()
+    for primitive in ("gru_step", "lstm_step", "conv2d_step", "tconv2d_step"):
+        def counted(*args, _name=primitive, _original=getattr(cruse.models, primitive)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cruse.models, primitive, counted)
+    spec = parse_model_name(name)
+    graph = build_model(spec)
+    infer_frame(graph, StreamState(graph), np.zeros((frames, 161)))
+    if spec.family == "nsnet2":
+        assert calls == {"gru_step": 2}
+    else:
+        assert calls == {
+            f"{spec.rnn_kind}_step": spec.parallel_groups * spec.rnn_layers,
+            "conv2d_step": spec.layers,
+            "tconv2d_step": spec.layers,
+        }
 
 
 @pytest.mark.parametrize("name", ["CRUSE4-64-1xGRU4", "CRUSE4-64-1xLSTM4", "CRUSE3-32-2xLSTM2"])

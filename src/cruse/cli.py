@@ -75,18 +75,28 @@ def _profile_rows(names, skip_kind):
     return rows
 
 
-def cmd_profile(args) -> int:
-    rows = _profile_rows(args.models, args.skips)
-    header = ("model", "params", "macs_per_frame", "macs_per_second")
-    if args.format == "csv":
+def _write_table(fmt: str, header, rows) -> None:
+    """Print ``rows`` under ``header`` as CSV or as left-aligned text columns.
+
+    Floats get 4 decimals; a missing cell (``None``) is an empty CSV field
+    and ``-`` in text.
+    """
+    cells = [["" if v is None else f"{v:.4f}" if isinstance(v, float) else str(v) for v in row]
+             for row in rows]
+    if fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
-        writer.writerows(rows)
-    else:
-        widths = [max(len(str(v)) for v in [h, *col]) for h, col in zip(header, zip(*rows))]
-        print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for row in rows:
-            print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
+        writer.writerows(cells)
+        return
+    cells = [[c or "-" for c in row] for row in cells]
+    widths = [max(map(len, col)) for col in zip(header, *cells)]
+    for row in [header, *cells]:
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+
+
+def cmd_profile(args) -> int:
+    header = ("model", "params", "macs_per_frame", "macs_per_second")
+    _write_table(args.format, header, _profile_rows(args.models, args.skips))
     return 0
 
 
@@ -156,19 +166,7 @@ def cmd_evaluate(args) -> int:
     mean_row = {"id": "mean"} | {
         f: float(np.mean([r[f] for r in rows if f in r])) for f in fields[1:]
     }
-    out = rows + [mean_row]
-    if args.format == "csv":
-        writer = csv.DictWriter(sys.stdout, fieldnames=fields, restval="")
-        writer.writeheader()
-        for r in out:
-            writer.writerow({k: (f"{v:.4f}" if isinstance(v, float) else v) for k, v in r.items()})
-    else:
-        print("  ".join(f.ljust(12) for f in fields))
-        for r in out:
-            cells = [str(r.get("id", "")).ljust(12)] + [
-                (f"{r[f]:.4f}" if f in r else "-").ljust(12) for f in fields[1:]
-            ]
-            print("  ".join(cells))
+    _write_table(args.format, fields, [[r.get(f) for f in fields] for r in rows + [mean_row]])
     return 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import ACTIVITY_RANGE_DB, _csv_float, active_rms
-from .dsp import DEFAULT_LOG_FLOOR, StftConfig, istft, stft
+from .dsp import StftConfig, istft, log_power_features, stft
 
 SISDR_CAP_DB = 100.0
 CEPSTRAL_ORDER = 24
@@ -119,9 +119,7 @@ def si_sdr(est: np.ndarray, ref: np.ndarray) -> float:
 
 def _log_spectra(samples: np.ndarray, stft_cfg: StftConfig):
     spec = stft(samples, stft_cfg)
-    power = np.abs(spec) ** 2
-    energies = power.sum(axis=1)
-    return 0.5 * np.log(np.maximum(power, DEFAULT_LOG_FLOOR)), energies
+    return 0.5 * log_power_features(spec), (np.abs(spec) ** 2).sum(axis=1)
 
 
 def cepstral_distance(est: np.ndarray, ref: np.ndarray,

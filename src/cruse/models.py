@@ -199,15 +199,21 @@ def format_model_name(spec: ModelSpec) -> str:
 # Graph containers
 
 
+class _Layer:
+    """Base of the layer dataclasses: a layer's parameters are its array fields."""
+
+    def param_arrays(self) -> list[tuple[str, np.ndarray]]:
+        """``(field name, array)`` per array field, in declaration (bundle) order."""
+        arrays = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return [(name, a) for name, a in arrays if isinstance(a, np.ndarray)]
+
+
 @dataclass
-class FcLayer:
+class FcLayer(_Layer):
     name: str
     weight: np.ndarray
     bias: np.ndarray
     activation: str
-
-    def param_arrays(self):
-        return [("weight", self.weight), ("bias", self.bias)]
 
     def macs(self) -> int:
         out_dims, in_dims = self.weight.shape
@@ -219,7 +225,7 @@ class FcLayer:
 
 
 @dataclass
-class RnnLayer:
+class RnnLayer(_Layer):
     """Grouped recurrent block: P disconnected stacks of N cells each.
 
     Each parameter is one array over all cells, with cell n of group g at
@@ -234,13 +240,11 @@ class RnnLayer:
     b_hidden: np.ndarray         # (P, N, gates*w)
 
     def param_arrays(self):
+        """The stored arrays split into the per-cell views ``g{g}n{n}.<field>``."""
+        stored = super().param_arrays()
         p, cells = self.w_hidden.shape[:2]
-        return [
-            (f"g{g}n{n}.{f}", getattr(self, f)[g, n])
-            for g in range(p)
-            for n in range(cells)
-            for f in ("w_input", "w_hidden", "b_input", "b_hidden")
-        ]
+        return [(f"g{g}n{n}.{f}", a[g, n])
+                for g in range(p) for n in range(cells) for f, a in stored]
 
     def macs(self) -> int:
         p, cells, _, w = self.w_hidden.shape
@@ -286,16 +290,13 @@ class RnnLayer:
 
 
 @dataclass
-class ConvLayer:
+class ConvLayer(_Layer):
     name: str
     weight: np.ndarray           # (c_out, c_in, kt, kf)
     bias: np.ndarray
     activation: str
     in_freq: int
     out_freq: int
-
-    def param_arrays(self):
-        return [("weight", self.weight), ("bias", self.bias)]
 
     def macs(self) -> int:
         c_out, c_in, kt, kf = self.weight.shape
@@ -312,16 +313,13 @@ class ConvLayer:
 
 
 @dataclass
-class TconvLayer:
+class TconvLayer(_Layer):
     name: str
     weight: np.ndarray           # (c_out, c_in, kt, kf), stored as its tap matrix (build_model)
     bias: np.ndarray
     activation: str
     in_freq: int
     f_target: int
-
-    def param_arrays(self):
-        return [("weight", self.weight), ("bias", self.bias)]
 
     def macs(self) -> int:
         c_out, c_in, kt, kf = self.weight.shape
@@ -338,20 +336,15 @@ class TconvLayer:
 
 
 @dataclass
-class SkipLayer:
+class SkipLayer(_Layer):
     name: str
     kind: str
     freq: int = 0                    # width of the skipped tensor
     scale: np.ndarray | None = None  # (channels,), add_conv1x1 only
     bias: np.ndarray | None = None
 
-    def param_arrays(self):
-        if self.kind != "add_conv1x1":
-            return []
-        return [("scale", self.scale), ("bias", self.bias)]
-
     def macs(self) -> int:
-        return macs_skip_conv1x1(self.scale.size, self.freq) if self.kind == "add_conv1x1" else 0
+        return 0 if self.scale is None else macs_skip_conv1x1(self.scale.size, self.freq)
 
     def forward(self, enc: np.ndarray, dec: np.ndarray) -> np.ndarray:
         """The decoder input joined with the encoder output it skips to."""
@@ -384,7 +377,8 @@ class ModelGraph:
         yield from self.skips
 
     def param_count(self) -> int:
-        return sum(arr.size for layer in self.iter_layers() for _, arr in layer.param_arrays())
+        # the stored arrays: a recurrent block's four, not its per-cell views
+        return sum(a.size for layer in self.iter_layers() for _, a in _Layer.param_arrays(layer))
 
 
 def conv_freq_sizes(num_bins: int, layers: int) -> list[int]:
@@ -630,11 +624,11 @@ def load_weights(path) -> ModelGraph:
     The blob is read block by block into the graph the manifest describes.
 
     Raises:
-        ValueError: on bad magic, a malformed manifest or one that differs
-            from the manifest its spec implies, a blob whose size does not
-            match the declared parameter count (checked before any array is
-            made), parameters that do not fit in memory, or a non-finite
-            parameter.
+        ValueError: on bad magic, a malformed manifest, a blob whose size
+            does not match the parameter count its spec implies, a manifest
+            that differs from the one its spec implies (both checked before
+            any array is made, the blob size first), parameters that do not
+            fit in memory, or a non-finite parameter.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -652,24 +646,24 @@ def load_weights(path) -> ModelGraph:
         if not isinstance(manifest, dict):
             raise ValueError(f"{path}: manifest is a JSON {type(manifest).__name__}, not an object")
 
-        # the manifest and the blob size are checked on a graph of shapes
-        # alone, so that a bundle allocates its arrays only once both hold
+        # checked on a graph of shapes alone, the blob size before the
+        # per-cell manifest: a bundle allocates nothing until both hold, and
+        # rejecting one costs work bounded by its layer count
         try:
             spec = _spec_from_manifest(manifest)
             shapes = _build_graph(spec, _zero_view)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed manifest ({type(exc).__name__}: {exc})") from exc
-        implied = _manifest(shapes)
-        for key in sorted(implied.keys() | manifest.keys()):
-            if manifest.get(key) != implied.get(key):
-                raise ValueError(f"{path}: malformed manifest ({key!r} is not what its spec implies)")
-
         count = shapes.param_count()
         if size - off != count * 4:
             raise ValueError(
                 f"{path}: weight blob is {size - off} bytes, expected {count * 4} "
                 f"({count} float32 parameters)"
             )
+        implied = _manifest(shapes)
+        for key in sorted(implied.keys() | manifest.keys()):
+            if manifest.get(key) != implied.get(key):
+                raise ValueError(f"{path}: malformed manifest ({key!r} is not what its spec implies)")
         try:
             graph = build_model(spec)
         except MemoryError as exc:

@@ -167,15 +167,19 @@ def malformed_bundle(request, tmp_path):
     return path
 
 
-@pytest.fixture(params=["cruse-8192-groups", "nsnet2-width-1e7"])
+@pytest.fixture(params=["cruse-8192-groups", "cruse-200000-groups", "nsnet2-width-1e7"])
 def hostile_bundle(request, tmp_path):
-    """A small bundle whose spec implies arrays of hundreds of MB or more.
+    """A small bundle whose spec implies arrays of hundreds of MB or more, or
+    hundreds of thousands of recurrent cells.
 
-    ``cruse-8192-groups`` is a 210-byte manifest holding only a spec whose
-    graph takes 1.6 GB of float64 weights.  ``nsnet2-width-1e7`` is the
-    full manifest an NSnet2 of GRU width 10**7 implies, with an empty blob.
+    ``cruse-8192-groups`` is a 210-byte bundle holding only a spec whose
+    graph takes 1.6 GB of float64 weights.  ``cruse-200000-groups`` is a
+    237-byte bundle holding a format and a spec of 200,000 one-wide GRU
+    groups, whose implied manifest lists 800,000 per-cell arrays.
+    ``nsnet2-width-1e7`` is the full manifest an NSnet2 of GRU width 10**7
+    implies.  Each has an empty blob.
     """
-    from cruse.models import build_model, nsnet2_spec, save_weights
+    from cruse.models import BUNDLE_FORMAT, build_model, nsnet2_spec, save_weights
 
     path = tmp_path / f"{request.param}.cwb"
     if request.param == "cruse-8192-groups":
@@ -185,6 +189,14 @@ def hostile_bundle(request, tmp_path):
             "parallel_groups": 8192, "skip_kind": "add", "kernel": [2, 3],
         }
         _write_bundle(path, {"spec": spec}, b"")
+        return path
+    if request.param == "cruse-200000-groups":
+        spec = {
+            "family": "cruse", "num_bins": 1, "rnn_width": 0, "layers": 1,
+            "channels": [200000], "rnn_kind": "gru", "rnn_layers": 1,
+            "parallel_groups": 200000, "skip_kind": "add", "kernel": [2, 3],
+        }
+        _write_bundle(path, {"format": BUNDLE_FORMAT, "spec": spec}, b"")
         return path
     width = 10**7
     save_weights(build_model(nsnet2_spec(16)), path)

@@ -4,7 +4,8 @@ across refactors of the engine, the data synthesis and the metrics.
 Each model is built with ``init_test_weights(..., 1234)``.  The bundle written
 by ``save_weights`` must keep its exact bytes (SHA-256), and the streamed
 ``enhance_signal`` output on a fixed seeded signal must keep three random
-projections to 1e-10.  Each training pair is ``generate_pair`` of a 2 s recipe
+projections to 1e-10; two more bundles pin the add_conv1x1 and concat skip
+kinds.  Each training pair is ``generate_pair`` of a 2 s recipe
 drawn by ``sample_recipe`` from a seeded generator over the conftest assets;
 its noisy and target signals keep three random projections to 1e-10, and
 the scores of one pair are pinned too.
@@ -18,7 +19,7 @@ import pytest
 from cruse.datagen import generate_pair, sample_recipe
 from cruse.dsp import stft
 from cruse.metrics import cepstral_distance, level_normalize_pair, training_loss
-from cruse.models import build_model, init_test_weights, parse_model_name, save_weights
+from cruse.models import build_model, cruse_spec, init_test_weights, parse_model_name, save_weights
 from cruse.streaming import enhance_signal
 
 GOLDEN = {
@@ -60,6 +61,25 @@ def test_seeded_bundle_and_output_match_golden(name, signal, tmp_path):
 
     out, _ = enhance_signal(graph, signal)
     np.testing.assert_allclose(_projections(out), projections, rtol=0, atol=1e-10)
+
+
+# Bundles of the skip kinds the names above do not cover, built from
+# cruse_spec(layers=2, last_channels=8, parallel_groups=2, skip_kind=kind):
+# add_conv1x1 skips hold a scale and a bias each, and a concat decoder takes
+# twice the channels.  The bytes pin the array names and their order in the
+# manifest and the blob.
+SKIP_BUNDLE_GOLDEN = {
+    "add_conv1x1": "d593df73a60b212aacaf9f8e859699bd42a0ce93070f6bbbadd3f18f0d31d050",
+    "concat": "b9a836c8a2d7310fa6353bdb3fdac611e2910179f36a0990e6f5248ec3f68cbb",
+}
+
+
+@pytest.mark.parametrize("skip_kind", sorted(SKIP_BUNDLE_GOLDEN))
+def test_seeded_bundle_of_skip_kind_matches_golden(skip_kind, tmp_path):
+    spec = cruse_spec(layers=2, last_channels=8, parallel_groups=2, skip_kind=skip_kind)
+    path = tmp_path / "w.cwb"
+    save_weights(init_test_weights(build_model(spec), 1234), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SKIP_BUNDLE_GOLDEN[skip_kind]
 
 
 def _seeded_pair(asset_store, seed):

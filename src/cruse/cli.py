@@ -18,11 +18,13 @@ import numpy as np
 from . import datagen as dg
 from . import metrics as mt
 from .audio_io import read_pipeline_wav, write_wav
-from .dsp import SAMPLE_RATE, StftConfig, istft, make_window, stft
+from .dsp import SAMPLE_RATE, StftConfig, istft, stft
 from .macs import macs_gru, macs_lstm, macs_model
 from .models import (
     SKIP_KINDS,
     StreamState,
+    _build_graph,
+    _zero_view,
     build_model,
     format_model_name,
     infer_frame,
@@ -70,7 +72,7 @@ def _profile_rows(names, skip_kind):
         spec = parse_model_name(name)
         if skip_kind and spec.family == "cruse":
             spec = dataclasses.replace(spec, skip_kind=skip_kind)
-        report = macs_model(build_model(spec))
+        report = macs_model(_build_graph(spec, _zero_view))
         rows.append((name, report.params, report.per_frame, report.per_second))
     return rows
 
@@ -112,7 +114,12 @@ def cmd_datagen(args) -> int:
         for i in range(args.count):
             recipe = dg.sample_recipe(rng, store)
             if not args.recipes_only:
-                pair = dg.generate_pair(recipe, store)
+                try:
+                    pair = dg.generate_pair(recipe, store)
+                except ValueError as exc:
+                    rir = (recipe.rir_id,) if recipe.rir_id else ()
+                    ids = dict.fromkeys(recipe.speech_ids + recipe.noise_ids + rir)
+                    raise ValueError(f"pair {i} ({', '.join(ids)}): {exc}") from exc
                 write_wav(out_dir / f"pair{i:05d}_noisy.wav", pair.noisy, SAMPLE_RATE)
                 write_wav(out_dir / f"pair{i:05d}_target.wav", pair.target, SAMPLE_RATE)
             log.write(recipe.to_json() + "\n")
@@ -175,10 +182,8 @@ def cmd_evaluate(args) -> int:
 
 
 def _check_cola():
-    window = make_window(320)
-    wsq = window * window
-    overlap = wsq[:160] + wsq[160:]
-    err = float(np.max(np.abs(overlap - 1.0)))
+    # the envelope _overlap_add divides by
+    err = float(np.max(np.abs(StftConfig()._cola - 1.0)))
     return err < 1e-9, f"max deviation {err:.2e}"
 
 
@@ -238,7 +243,7 @@ def _check_block_diagonal(name: str):
 def _check_mac_monotonicity():
     widths = {}
     for p in (1, 2, 4):
-        graph = build_model(parse_model_name(f"CRUSE4-128-1xGRU{p}"))
+        graph = _build_graph(parse_model_name(f"CRUSE4-128-1xGRU{p}"), _zero_view)
         widths[p] = macs_model(graph).per_frame
     ratio_ok = macs_gru(400, 400) * 4 == macs_lstm(400, 400) * 3
     mono = widths[4] < widths[2] < widths[1]
@@ -342,7 +347,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -116,6 +116,14 @@ def shape_rir(rir: np.ndarray, t0: int) -> np.ndarray:
     return rir * weight
 
 
+def _active_frames(energies: np.ndarray) -> np.ndarray:
+    """Frames within ``ACTIVITY_RANGE_DB`` of the loudest; ``ValueError`` if none has energy."""
+    peak = energies.max(initial=0.0)
+    if peak <= 0.0:
+        raise ValueError("silent signal: no active frames")
+    return energies >= peak * 10.0 ** (-ACTIVITY_RANGE_DB / 10.0)
+
+
 def _activity_mask(samples: np.ndarray):
     frame = SAMPLE_RATE * ACTIVITY_FRAME_MS // 1000
     n = len(samples) // frame
@@ -123,12 +131,7 @@ def _activity_mask(samples: np.ndarray):
         frames = samples[None, :]
     else:
         frames = samples[: n * frame].reshape(n, frame)
-    energies = np.sum(frames * frames, axis=1)
-    peak = energies.max(initial=0.0)
-    if peak <= 0.0:
-        raise ValueError("silent signal: no active frames")
-    active = energies >= peak * 10.0 ** (-ACTIVITY_RANGE_DB / 10.0)
-    return frames, active
+    return frames, _active_frames(np.sum(frames * frames, axis=1))
 
 
 def active_rms(samples: np.ndarray) -> float:

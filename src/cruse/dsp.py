@@ -34,8 +34,8 @@ class StftConfig:
     fft_len: int = 320
 
     def __post_init__(self):
-        if self.window_len < 2 or self.window_len % 2:
-            raise ValueError(f"window_len must be even and >= 2, got {self.window_len}")
+        # made now, so that make_window is the one check of window_len
+        _ = self.window
         if self.fft_len < self.window_len:
             raise ValueError(f"fft_len {self.fft_len} smaller than window_len {self.window_len}")
 

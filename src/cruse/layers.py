@@ -59,6 +59,19 @@ def fc_forward(weight: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarra
     return x @ weight.T + bias
 
 
+def _recurrent_block(step: str, w_input: np.ndarray, w_hidden: np.ndarray,
+                     b_input: np.ndarray, x: np.ndarray, state: np.ndarray, vectors: int):
+    """The block and ``(vectors, w)`` state check of :func:`gru_step` and :func:`lstm_step`;
+    returns the block's input projection and its ``(T, w)`` output buffer."""
+    w = w_hidden.shape[1]
+    if x.ndim != 2 or x.shape[1] != w_input.shape[1] or state.shape != (vectors, w):
+        raise ValueError(
+            f"{step} expects input (T, {w_input.shape[1]}) and state ({vectors}, {w}), "
+            f"got {x.shape} and {state.shape}"
+        )
+    return x @ w_input.T + b_input, np.empty((len(x), w))
+
+
 def gru_step(w_input: np.ndarray, w_hidden: np.ndarray, b_input: np.ndarray,
              b_hidden: np.ndarray, x: np.ndarray, state: np.ndarray) -> np.ndarray:
     """GRU updates over a block of frames ``(T, in)``; returns ``(T, w)``.
@@ -69,14 +82,8 @@ def gru_step(w_input: np.ndarray, w_hidden: np.ndarray, b_input: np.ndarray,
     frame's.  The input projection of the whole block is one matmul; only
     the recurrent matmul runs frame by frame.
     """
-    w = w_hidden.shape[1]
-    if x.ndim != 2 or x.shape[1] != w_input.shape[1] or state.shape != (1, w):
-        raise ValueError(
-            f"gru_step expects input (T, {w_input.shape[1]}) and state (1, {w}), "
-            f"got {x.shape} and {state.shape}"
-        )
-    gi = x @ w_input.T + b_input
-    ys = np.empty((len(x), w))
+    gi, ys = _recurrent_block("gru_step", w_input, w_hidden, b_input, x, state, 1)
+    w = ys.shape[1]
     h = state[0]
     for t, g in enumerate(gi):
         # the docstring formulas, in place where a value is not read again
@@ -103,14 +110,8 @@ def lstm_step(w_input: np.ndarray, w_hidden: np.ndarray, b_input: np.ndarray,
     As :func:`gru_step`, with four stacked gates (``4w`` rows) and ``state``
     the ``(2, w)`` vectors ``h, c``.
     """
-    w = w_hidden.shape[1]
-    if x.ndim != 2 or x.shape[1] != w_input.shape[1] or state.shape != (2, w):
-        raise ValueError(
-            f"lstm_step expects input (T, {w_input.shape[1]}) and state (2, {w}), "
-            f"got {x.shape} and {state.shape}"
-        )
-    gi = x @ w_input.T + b_input
-    ys = np.empty((len(x), w))
+    gi, ys = _recurrent_block("lstm_step", w_input, w_hidden, b_input, x, state, 2)
+    w = ys.shape[1]
     h, c = state
     for t, g in enumerate(gi):
         gates = g + w_hidden @ h + b_hidden

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import ACTIVITY_RANGE_DB, _csv_float, active_rms
+from .datagen import _active_frames, _csv_float, active_rms
 from .dsp import StftConfig, istft, log_power_features, stft
 
 SISDR_CAP_DB = 100.0
@@ -137,10 +137,7 @@ def cepstral_distance(est: np.ndarray, ref: np.ndarray,
     log_r, energy_r = _log_spectra(ref, stft_cfg)
     if log_e.shape != log_r.shape:
         raise ValueError(f"signals disagree on frame count: {log_e.shape} vs {log_r.shape}")
-    if energy_e.max(initial=0.0) <= 0.0 or energy_r.max(initial=0.0) <= 0.0:
-        raise ValueError("silent input")
-    floor = 10.0 ** (-ACTIVITY_RANGE_DB / 10.0)
-    active = (energy_e >= energy_e.max() * floor) & (energy_r >= energy_r.max() * floor)
+    active = _active_frames(energy_e) & _active_frames(energy_r)
     if not active.any():
         raise ValueError("no jointly active frames")
 

@@ -450,11 +450,10 @@ def _build_graph(spec: ModelSpec, zeros) -> ModelGraph:
     group_width = spec.channels[-1] * freqs[-1] // p
     bottleneck = _zero_rnn(zeros, "rnn", spec.rnn_kind, p, spec.rnn_layers, group_width)
 
-    concat = spec.skip_kind == "concat"
-    decoder = []
-    for j in range(L):
-        c_in = spec.channels[L - 1 - j] * (2 if concat else 1)
-        c_out = chans[L - 1 - j]
+    decoder, skips = [], []
+    for j in range(L):  # decoder j+1 mirrors encoder L-j, whose output skips[j] joins to it
+        c, c_out = spec.channels[L - 1 - j], chans[L - 1 - j]
+        c_in = 2 * c if spec.skip_kind == "concat" else c
         # Stored as the tap matrix tconv2d_step multiplies with, which it then
         # takes as a view instead of copying the weight on every call.
         taps = _tconv_taps(zeros((c_out, c_in, kt, kf)))
@@ -468,15 +467,8 @@ def _build_graph(spec: ModelSpec, zeros) -> ModelGraph:
                 f_target=freqs[L - 1 - j],
             )
         )
-
-    skips = []
-    for j in range(L):  # skips[j] joins encoder L-j with decoder j+1
-        c = spec.channels[L - 1 - j]
-        freq = freqs[L - j]
-        if spec.skip_kind == "add_conv1x1":
-            skips.append(SkipLayer(f"skip{j + 1}", spec.skip_kind, freq, zeros(c), zeros(c)))
-        else:
-            skips.append(SkipLayer(f"skip{j + 1}", spec.skip_kind, freq))
+        conv1x1 = (zeros(c), zeros(c)) if spec.skip_kind == "add_conv1x1" else ()
+        skips.append(SkipLayer(f"skip{j + 1}", spec.skip_kind, freqs[L - j], *conv1x1))
 
     return ModelGraph(spec=spec, encoder=encoder, bottleneck=bottleneck, decoder=decoder, skips=skips)
 

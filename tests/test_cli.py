@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,20 @@ def test_enhance_rejects_hostile_bundle_before_allocating(tmp_path, hostile_bund
     assert peak_kb < 100 * 1024
 
 
+def test_enhance_reports_a_model_too_big_for_memory(tmp_path, capsys, monkeypatch):
+    def build_model(spec):
+        raise MemoryError("Unable to allocate 120. GiB for an array")
+
+    monkeypatch.setattr("cruse.cli.build_model", build_model)
+    src = tmp_path / "in.wav"
+    dst = tmp_path / "out.wav"
+    write_wav(src, 0.1 * np.ones(SR), SR)
+    code, _, err = run(capsys, "enhance", str(src), str(dst), "--model", "NSnet2-16")
+    assert code == 1
+    assert "error: Unable to allocate 120. GiB" in err and "Traceback" not in err
+    assert not dst.exists()
+
+
 def test_enhance_rejects_input_shorter_than_one_hop(tmp_path, capsys):
     src = tmp_path / "short.wav"
     dst = tmp_path / "out.wav"
@@ -212,6 +227,19 @@ def test_profile_unknown_name(capsys):
     code, _, err = run(capsys, "profile", "CRUSE9")
     assert code == 1
     assert "CRUSE9" in err
+
+
+def test_profile_counts_without_allocating_the_model(capsys):
+    # building CRUSE5-256-2xLSTM1 allocates about 300 MB
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "profile", "CRUSE5-256-2xLSTM1", "--format", "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.splitlines()[1].startswith("CRUSE5-256-2xLSTM1,38296481,41835777,")
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +320,26 @@ def test_datagen_rejects_a_non_finite_asset(tmp_path, capsys, asset_dir):
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert str(tmp_path / "speech_nan.wav") in err and "non-finite" in err
+
+
+def test_datagen_names_the_pair_of_a_silent_speech_asset(tmp_path, capsys, asset_dir):
+    write_wav(tmp_path / "speech_silent.wav", np.zeros(SR), SR)
+    for name in ("noise_white.wav", "rir_delta.wav"):
+        (tmp_path / name).write_bytes((asset_dir / name).read_bytes())
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "path,kind,t60,c50\n"
+        "speech_silent.wav,speech,0.12,22.0\n"
+        "noise_white.wav,noise,,\n"
+        "rir_delta.wav,rir,0.05,40.0\n"
+    )
+    code, _, err = run(
+        capsys, "datagen", "--manifest", str(manifest), "--count", "2",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 1
+    assert err.startswith("error: pair 0 (speech_silent.wav") and "Traceback" not in err
+    assert "silent signal" in err
 
 
 def test_datagen_missing_manifest(tmp_path, capsys):

@@ -62,6 +62,12 @@ def test_window_invalid_length(wlen):
         make_window(wlen)
 
 
+@pytest.mark.parametrize("wlen", [3, 0])
+def test_stft_config_rejects_invalid_window_length(wlen):
+    with pytest.raises(ValueError, match="window_len"):
+        StftConfig(window_len=wlen)
+
+
 # ---------------------------------------------------------------------------
 # stft
 

@@ -232,9 +232,11 @@ def test_cd_lowpass_positive_and_matches_oracle():
     assert cd == pytest.approx(cd_oracle(est, ref), rel=1e-9)
 
 
-def test_cd_silent_input_errors():
-    with pytest.raises(ValueError):
-        cepstral_distance(np.zeros(SR), np.ones(SR) * 0.1)
+@pytest.mark.parametrize("silent", ["est", "ref"])
+def test_cd_silent_input_errors(silent):
+    signals = {"est": np.ones(SR) * 0.1, "ref": np.ones(SR) * 0.1, silent: np.zeros(SR)}
+    with pytest.raises(ValueError, match="silent"):
+        cepstral_distance(signals["est"], signals["ref"])
 
 
 # ---------------------------------------------------------------------------

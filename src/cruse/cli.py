@@ -69,10 +69,13 @@ def cmd_enhance(args) -> int:
 def _profile_rows(names, skip_kind):
     rows = []
     for name in names:
-        spec = parse_model_name(name)
-        if skip_kind and spec.family == "cruse":
-            spec = dataclasses.replace(spec, skip_kind=skip_kind)
-        report = macs_model(_build_graph(spec, _zero_view))
+        try:
+            spec = parse_model_name(name)
+            if skip_kind and spec.family == "cruse":
+                spec = dataclasses.replace(spec, skip_kind=skip_kind)
+            report = macs_model(_build_graph(spec, _zero_view))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from exc
         rows.append((name, report.params, report.per_frame, report.per_second))
     return rows
 

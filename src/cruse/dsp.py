@@ -192,8 +192,8 @@ def log_power_features(spec: np.ndarray) -> np.ndarray:
     ``out[n, k] = ln(max(|spec[n, k]|**2, DEFAULT_LOG_FLOOR))``; all outputs
     are finite.
     """
-    power = np.abs(np.asarray(spec)) ** 2
-    return np.log(np.maximum(power, DEFAULT_LOG_FLOOR))
+    power = np.maximum(np.abs(np.asarray(spec)) ** 2, DEFAULT_LOG_FLOOR)
+    return np.log(power, out=power)
 
 
 def apply_gain(spec: np.ndarray, gains: np.ndarray) -> np.ndarray:

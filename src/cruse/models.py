@@ -258,12 +258,12 @@ class RnnLayer(_Layer):
     def forward(self, x: np.ndarray, state: np.ndarray) -> np.ndarray:
         """Step the block over a block of frames ``(T, ...)``.
 
-        Each frame is flattened row-major (a CRUSE bottleneck's ``(C, F)``
-        channel-major) and split into P equal contiguous chunks; group g runs
-        its own stack of N cells over chunk g, and the group outputs,
-        concatenated in order, take the input's shape.  This equals a stack
-        of N cells whose gate matrices are block-diagonal with the P group
-        matrices (``cruse selftest`` checks it).
+        Each frame, flattened row-major (a CRUSE bottleneck's ``(C, F)``
+        channel-major), is viewed as P equal contiguous chunks of one
+        ``(T, P, w)`` block; cell n of every group g steps chunk g before
+        any cell n+1 runs, and the last cell's outputs take the input's
+        shape.  This equals a stack of N cells whose gate matrices are
+        block-diagonal with the P group matrices (``cruse selftest`` checks it).
 
         ``state`` is the ``zero_state()`` array, or one advanced from it:
         ``state[g, n]`` holds the vectors cell n of group g carries, ``h``
@@ -280,13 +280,12 @@ class RnnLayer(_Layer):
                 f"expected (T, width) with width divisible by {p} groups, got {x.shape}"
             )
         step = gru_step if self.kind == "gru" else lstm_step
-        outs = []
-        for g, y in enumerate(np.split(x.reshape(len(x), width), p, axis=1)):
-            for n in range(cells):
-                y = step(self.w_input[g, n], self.w_hidden[g, n], self.b_input[g, n],
-                         self.b_hidden[g, n], y, state[g, n])
-            outs.append(y)
-        return np.concatenate(outs, axis=1).reshape(x.shape)
+        y = x.reshape(len(x), p, width // p)
+        for n in range(cells):  # cell n of every group is the n-th block-diagonal cell
+            y = np.stack([step(self.w_input[g, n], self.w_hidden[g, n], self.b_input[g, n],
+                               self.b_hidden[g, n], y[:, g], state[g, n])
+                          for g in range(p)], axis=1)
+        return y.reshape(x.shape)
 
 
 @dataclass

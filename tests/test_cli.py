@@ -229,6 +229,17 @@ def test_profile_unknown_name(capsys):
     assert "CRUSE9" in err
 
 
+@pytest.mark.parametrize("name", [
+    "CRUSE40-128-1xGRU4",  # too big even as a graph of shapes
+    "CRUSE4-128-1xGRU3",   # 1408 wide, not divisible by 3 groups
+])
+def test_profile_error_names_the_failing_model(capsys, name):
+    code, out, err = run(capsys, "profile", "NSnet2-400", name)
+    assert code == 1
+    assert f"error: {name}: " in err
+    assert out == ""
+
+
 def test_profile_counts_without_allocating_the_model(capsys):
     # building CRUSE5-256-2xLSTM1 allocates about 300 MB
     tracemalloc.start()

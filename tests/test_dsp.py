@@ -219,6 +219,20 @@ def test_log_power_scaling_shift():
     np.testing.assert_allclose(shifted - base, np.log(100.0), atol=1e-9)
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64, np.float32, np.int64])
+def test_log_power_equals_the_formula_bit_for_bit(dtype):
+    rng = np.random.default_rng(4)
+    spec = 30.0 * (rng.standard_normal((6, 161)) + 1j * rng.standard_normal((6, 161)))
+    spec[0, :4] = 0.0  # below the floor
+    if not np.issubdtype(dtype, np.complexfloating):
+        spec = spec.real
+    spec = spec.astype(dtype)
+    expected = np.log(np.maximum(np.abs(spec) ** 2, DEFAULT_LOG_FLOOR))
+    feats = log_power_features(spec)
+    assert feats.dtype == expected.dtype
+    assert feats.tobytes() == expected.tobytes()
+
+
 def test_apply_gain_cases():
     rng = np.random.default_rng(3)
     spec = rng.standard_normal((4, 161)) + 1j * rng.standard_normal((4, 161))

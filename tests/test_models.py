@@ -9,7 +9,7 @@ import pytest
 
 import cruse.models
 from cruse.cli import _check_block_diagonal
-from cruse.layers import _tconv_taps, tconv2d_step
+from cruse.layers import _tconv_taps, gru_step, lstm_step, tconv2d_step
 from cruse.models import (
     _FILL_BLOCK,
     BUNDLE_MAGIC,
@@ -504,6 +504,47 @@ def test_infer_frame_calls_each_primitive_through_its_module_binding(name, frame
 def test_grouped_block_equals_its_block_diagonal_cells(name):
     ok, detail = _check_block_diagonal(name)
     assert ok, detail
+
+
+def _forward_group_by_group(layer, x, state):
+    """Each group's whole stack of cells on its own column chunk, the group
+    outputs joined in order: the composition ``RnnLayer.forward`` must equal,
+    for a ``(T, width)`` block."""
+    step = gru_step if layer.kind == "gru" else lstm_step
+    p, cells = layer.w_hidden.shape[:2]
+    outs = []
+    for g, y in enumerate(np.split(x, p, axis=1)):
+        for n in range(cells):
+            y = step(layer.w_input[g, n], layer.w_hidden[g, n], layer.b_input[g, n],
+                     layer.b_hidden[g, n], y, state[g, n])
+        outs.append(y)
+    return np.concatenate(outs, axis=1)
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+@pytest.mark.parametrize("groups", [1, 2, 4])
+@pytest.mark.parametrize("cells", [1, 2])
+@pytest.mark.parametrize("frames", [0, 1, 3])
+def test_rnn_forward_equals_each_group_stepped_on_its_own(kind, groups, cells, frames):
+    rng = np.random.default_rng(groups * 10 + cells)
+    w = 5
+    rows = (3 if kind == "gru" else 4) * w
+    layer = RnnLayer(
+        name="rnn", kind=kind,
+        w_input=rng.standard_normal((groups, cells, rows, w)),
+        w_hidden=rng.standard_normal((groups, cells, rows, w)),
+        b_input=rng.standard_normal((groups, cells, rows)),
+        b_hidden=rng.standard_normal((groups, cells, rows)),
+    )
+    start = rng.standard_normal(layer.zero_state().shape)
+    # a column slice of a wider block is not contiguous
+    x = rng.standard_normal((frames, groups * w + 3))[:, 2:-1]
+    state, expected_state = start.copy(), start.copy()
+    out = layer.forward(x, state)
+    expected = _forward_group_by_group(layer, x, expected_state)
+    assert out.shape == x.shape
+    assert out.tobytes() == expected.tobytes()
+    assert state.tobytes() == expected_state.tobytes()
 
 
 def test_causality_under_perturbation():

@@ -186,7 +186,7 @@ def cmd_evaluate(args) -> int:
 
 def _check_cola():
     # the envelope _overlap_add divides by
-    err = float(np.max(np.abs(StftConfig()._cola - 1.0)))
+    err = float(np.max(np.abs(StftConfig._cola - 1.0)))
     return err < 1e-9, f"max deviation {err:.2e}"
 
 

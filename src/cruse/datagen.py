@@ -217,7 +217,27 @@ def scale_pair_to_level(mixture: np.ndarray, target: np.ndarray, level_dbfs: flo
 # Asset store
 
 
-def _csv_float(path, reader: csv.DictReader, row: dict, column: str) -> float:
+def _csv_rows(path, required, key: str):
+    """``(line, row)`` for each row of a delimited file with a header; a missing
+    ``required`` column, or a row that repeats an earlier row's stripped ``key``
+    value, is a ``ValueError`` naming the file (and both lines)."""
+    seen: dict[str, int] = {}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh, restval="")
+        missing = set(required) - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"{path}: no {' or '.join(sorted(missing))} column")
+        for row in reader:
+            value = row[key].strip()
+            if value in seen:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: {key} {value!r} repeats line {seen[value]}"
+                )
+            seen[value] = reader.line_num
+            yield reader.line_num, row
+
+
+def _csv_float(path, line: int, row: dict, column: str) -> float:
     # one value of a delimited file, which must be a finite float
     try:
         value = float(row[column])
@@ -225,7 +245,7 @@ def _csv_float(path, reader: csv.DictReader, row: dict, column: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise ValueError(
-            f"{path}: line {reader.line_num}, column {column!r}: "
+            f"{path}: line {line}, column {column!r}: "
             f"could not convert {row[column]!r} to a finite float"
         )
     return value
@@ -249,7 +269,7 @@ class AssetStore:
 
     Built from a delimited manifest with columns ``path,kind,t60,c50``
     (t60/c50 may be empty for noise); paths resolve against the manifest's
-    directory.
+    directory, and a repeated path is an error.
     """
 
     def __init__(self, entries):
@@ -264,19 +284,14 @@ class AssetStore:
         manifest_path = Path(manifest_path)
         base = manifest_path.parent
         entries = []
-        with open(manifest_path, newline="") as fh:
-            reader = csv.DictReader(fh, restval="")
-            missing = {"path", "kind"} - set(reader.fieldnames or ())
-            if missing:
-                raise ValueError(f"{manifest_path}: no {' or '.join(sorted(missing))} column")
-            for row in reader:
-                kind = row["kind"].strip()
-                if kind not in ("speech", "noise", "rir"):
-                    raise ValueError(f"{manifest_path}: unknown asset kind {kind!r}")
-                t60 = _csv_float(manifest_path, reader, row, "t60") if row.get("t60") else None
-                c50 = _csv_float(manifest_path, reader, row, "c50") if row.get("c50") else None
-                rel = row["path"].strip()
-                entries.append(AssetEntry(rel, base / rel, kind, t60, c50))
+        for line, row in _csv_rows(manifest_path, ("path", "kind"), "path"):
+            kind = row["kind"].strip()
+            if kind not in ("speech", "noise", "rir"):
+                raise ValueError(f"{manifest_path}: unknown asset kind {kind!r}")
+            t60 = _csv_float(manifest_path, line, row, "t60") if row.get("t60") else None
+            c50 = _csv_float(manifest_path, line, row, "c50") if row.get("c50") else None
+            rel = row["path"].strip()
+            entries.append(AssetEntry(rel, base / rel, kind, t60, c50))
         return cls(entries)
 
     def entry(self, asset_id: str) -> AssetEntry:

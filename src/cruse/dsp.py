@@ -4,13 +4,12 @@ Spectrograms are complex float arrays of shape ``(frames, bins)``.  Framing is
 causal: the head of the signal is zero-padded by one hop so that frame ``n``
 depends only on input samples up to ``n * hop_len + window_len``, and the
 algorithmic delay of an analysis/synthesis round trip equals one window length
-(20 ms at the default configuration).
+(20 ms).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -19,54 +18,6 @@ import numpy as np
 SAMPLE_RATE = 16000
 
 DEFAULT_LOG_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class StftConfig:
-    """Framing parameters: 20 ms square-root Hann windows at 50% overlap.
-
-    The rate is fixed at :data:`SAMPLE_RATE`; only the window and FFT
-    lengths are settable.
-    """
-
-    sample_rate: ClassVar[int] = SAMPLE_RATE
-    window_len: int = 320
-    fft_len: int = 320
-
-    def __post_init__(self):
-        # made now, so that make_window is the one check of window_len
-        _ = self.window
-        if self.fft_len < self.window_len:
-            raise ValueError(f"fft_len {self.fft_len} smaller than window_len {self.window_len}")
-
-    @property
-    def hop_len(self) -> int:
-        """Half a window: the overlap-add assumes 50% overlap."""
-        return self.window_len // 2
-
-    @property
-    def num_bins(self) -> int:
-        return self.fft_len // 2 + 1
-
-    @property
-    def hop_ms(self) -> float:
-        """Duration of one hop in milliseconds (10 ms at the defaults)."""
-        return 1000.0 * self.hop_len / self.sample_rate
-
-    @cached_property
-    def window(self) -> np.ndarray:
-        """The analysis and synthesis window, :func:`make_window`; made once
-        per config and read-only."""
-        window = make_window(self.window_len)
-        window.flags.writeable = False
-        return window
-
-    @cached_property
-    def _cola(self) -> np.ndarray:
-        """Squared-window envelope of a hop that two frames overlap: 1 to
-        rounding (COLA), so dividing by it needs no guard."""
-        wsq = self.window * self.window
-        return wsq[: self.hop_len] + wsq[self.hop_len :]
 
 
 def make_window(window_len: int) -> np.ndarray:
@@ -81,6 +32,32 @@ def make_window(window_len: int) -> np.ndarray:
     i = np.arange(window_len)
     hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * i / window_len)
     return np.sqrt(hann)
+
+
+@dataclass(frozen=True)
+class StftConfig:
+    """The paper's framing: 20 ms square-root Hann windows at 50% overlap
+    (a 10 ms hop) and a 320-point FFT, which gives 161 bins.
+
+    Every value is a class constant computed at import; the class has no
+    fields, so all instances are equal and ``StftConfig()`` takes no
+    arguments.
+    """
+
+    sample_rate: ClassVar[int] = SAMPLE_RATE
+    window_len: ClassVar[int] = 320
+    fft_len: ClassVar[int] = 320
+    # half a window: the overlap-add assumes 50% overlap
+    hop_len: ClassVar[int] = window_len // 2
+    num_bins: ClassVar[int] = fft_len // 2 + 1
+    hop_ms: ClassVar[float] = 1000.0 * hop_len / sample_rate
+    # the analysis and synthesis window, read-only
+    window: ClassVar[np.ndarray] = make_window(window_len)
+    window.flags.writeable = False
+    # squared-window envelope of a hop that two frames overlap: 1 to
+    # rounding (COLA), so dividing by it needs no guard
+    _cola: ClassVar[np.ndarray] = (window * window)[:hop_len] + (window * window)[hop_len:]
+    _cola.flags.writeable = False
 
 
 def num_frames(num_samples: int, config: StftConfig) -> int:

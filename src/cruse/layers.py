@@ -86,19 +86,11 @@ def gru_step(w_input: np.ndarray, w_hidden: np.ndarray, b_input: np.ndarray,
     w = ys.shape[1]
     h = state[0]
     for t, g in enumerate(gi):
-        # the docstring formulas, in place where a value is not read again
-        gh = w_hidden @ h
-        gh += b_hidden
-        rz = gh[: 2 * w]
-        rz += g[: 2 * w]
-        _sigmoid(rz, out=rz)
-        n = gh[2 * w :]
-        n *= rz[:w]
-        n += g[2 * w :]
-        np.tanh(n, out=n)
+        gh = w_hidden @ h + b_hidden
+        rz = _sigmoid(g[: 2 * w] + gh[: 2 * w])
         z = rz[w:]
-        h = np.multiply(z, h, out=ys[t])
-        h += (1.0 - z) * n
+        n = np.tanh(g[2 * w :] + rz[:w] * gh[2 * w :])
+        h = ys[t] = z * h + (1.0 - z) * n
     state[0] = h
     return ys
 

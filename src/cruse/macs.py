@@ -5,7 +5,7 @@ activations, the STFT, and feature extraction are excluded.  Transposed
 convolutions count only the multiplies that contribute to retained
 (non-cropped) output positions, i.e. the work of a streaming implementation
 that computes exactly the outputs it emits.  Per-second figures use the hop
-of the default :class:`StftConfig` (10 ms, 100 frames/s).
+of :class:`StftConfig` (10 ms, 100 frames/s).
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ class MacReport:
 
     @property
     def per_second(self) -> int:
-        cfg = StftConfig()
-        return self.per_frame * cfg.sample_rate // cfg.hop_len
+        return self.per_frame * StftConfig.sample_rate // StftConfig.hop_len
 
 
 def macs_fc(in_dims: int, out_dims: int) -> int:

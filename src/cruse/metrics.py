@@ -9,13 +9,12 @@ cepstral distance are computed here.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import _active_frames, _csv_float, active_rms
+from .datagen import _active_frames, _csv_float, _csv_rows, active_rms
 from .dsp import StftConfig, istft, log_power_features, stft
 
 SISDR_CAP_DB = 100.0
@@ -160,17 +159,13 @@ def read_scores_file(path) -> dict[str, dict[str, float]]:
 
     Raises:
         ValueError: naming the file, line and column of a score that is not
-            a finite float, or a missing id or pesq column.
+            a finite float, the file and both lines of a repeated id, or a
+            missing id or pesq column.
     """
     out: dict[str, dict[str, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        missing = {"id", "pesq"} - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"{path}: no {' or '.join(sorted(missing))} column")
-        for row in reader:
-            rec = {"pesq": _csv_float(path, reader, row, "pesq")}
-            if row.get("dnsmos"):
-                rec["dnsmos"] = _csv_float(path, reader, row, "dnsmos")
-            out[row["id"].strip()] = rec
+    for line, row in _csv_rows(path, ("id", "pesq"), "id"):
+        rec = {"pesq": _csv_float(path, line, row, "pesq")}
+        if row.get("dnsmos"):
+            rec["dnsmos"] = _csv_float(path, line, row, "dnsmos")
+        out[row["id"].strip()] = rec
     return out

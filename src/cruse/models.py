@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .dsp import StftConfig
 from .layers import (
     GRU_GATES,
     LSTM_GATES,
@@ -35,7 +36,7 @@ from .layers import (
 )
 from .macs import macs_conv2d, macs_fc, macs_gru, macs_lstm, macs_skip_conv1x1, macs_tconv2d
 
-DEFAULT_NUM_BINS = 161
+DEFAULT_NUM_BINS = StftConfig.num_bins
 FIRST_CHANNELS = 16
 NSNET2_FC_WIDTH = 600
 

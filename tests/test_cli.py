@@ -385,6 +385,19 @@ def test_datagen_manifest_with_a_non_finite_t60(tmp_path, capsys):
     assert f"{manifest}: line 2, column 't60'" in err
 
 
+def test_datagen_manifest_repeating_a_path(tmp_path, capsys):
+    manifest = tmp_path / "repeat.csv"
+    manifest.write_text("path,kind,t60,c50\na.wav,speech,0.1,30\nb.wav,speech,0.1,30\n"
+                        "a.wav,speech,0.5,5\n")
+    code, _, err = run(
+        capsys, "datagen", "--manifest", str(manifest), "--count", "1",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"{manifest}: line 4: path 'a.wav' repeats line 2" in err
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -462,6 +475,17 @@ def test_evaluate_scores_value_that_is_not_a_finite_float(eval_dirs, tmp_path, c
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert f"{scores}: line 3, column 'pesq'" in err
+
+
+def test_evaluate_scores_repeating_an_id(eval_dirs, tmp_path, capsys):
+    enh, ref = eval_dirs
+    scores = tmp_path / "scores.csv"
+    scores.write_text("id,pesq\nutt1,2.0\nutt2,3.0\nutt1,2.5\n")
+    code, _, err = run(capsys, "evaluate", "--enhanced", str(enh), "--reference", str(ref),
+                       "--scores", str(scores))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"{scores}: line 4: id 'utt1' repeats line 2" in err
 
 
 def test_evaluate_rejects_a_pair_not_at_16_khz(eval_dirs, capsys):

@@ -408,3 +408,13 @@ def test_manifest_without_a_column_or_value_errors(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         AssetStore.from_manifest(path)
+
+
+def test_manifest_repeating_a_path_errors(tmp_path):
+    # the second row would otherwise give the same file other metadata and
+    # a second share of the speech draws
+    path = tmp_path / "manifest.csv"
+    path.write_text("path,kind,t60,c50\na.wav,speech,0.1,30\nb.wav,speech,0.1,30\n"
+                    " a.wav ,speech,0.5,5\n")
+    with pytest.raises(ValueError, match=r"manifest\.csv: line 4: path 'a\.wav' repeats line 2"):
+        AssetStore.from_manifest(path)

@@ -60,13 +60,12 @@ def test_process_hop_validates_length():
 
 
 def test_stats_use_the_configured_hop():
-    cfg = StftConfig(window_len=640, fft_len=640)  # 20 ms hop, 321 bins
-    graph = init_test_weights(build_model(nsnet2_spec(16, num_bins=321)), 24)
+    graph = init_test_weights(build_model(nsnet2_spec(16)), 24)
     x = 0.1 * np.random.default_rng(2).standard_normal(3200)
-    _, stats = enhance_signal(graph, x, cfg)
-    assert stats.frames == 10
-    assert stats.realtime_factor == stats.mean_frame_ms / 20
-    assert stats.hop_ms == 20.0
+    _, stats = enhance_signal(graph, x, CFG)
+    assert stats.frames == 20
+    assert stats.realtime_factor == stats.mean_frame_ms / 10
+    assert stats.hop_ms == 10.0
     assert 0 < stats.mean_frame_ms <= stats.max_frame_ms
 
 
@@ -142,20 +141,17 @@ def test_samples_up_to_the_largest_float32_are_kept():
 
 @st.composite
 def small_engines(draw):
-    """A seeded graph of either family and a short-window transform with its bins."""
-    wlen = draw(st.sampled_from([8, 16, 32]))
-    cfg = StftConfig(window_len=wlen, fft_len=draw(st.sampled_from([wlen, 2 * wlen])))
+    """A small seeded graph of either family at the transform's 161 bins."""
     if draw(st.booleans()):
-        spec = nsnet2_spec(draw(st.integers(1, 16)), num_bins=cfg.num_bins)
+        spec = nsnet2_spec(draw(st.integers(1, 16)))
     else:
         spec = cruse_spec(
             layers=draw(st.integers(1, 2)),
             last_channels=draw(st.integers(1, 8)),
             rnn_kind=draw(st.sampled_from(["gru", "lstm"])),
             kernel=draw(st.sampled_from([(1, 3), (2, 3)])),
-            num_bins=cfg.num_bins,
         )
-    return init_test_weights(build_model(spec), draw(st.integers(0, 2**32 - 1))), cfg
+    return init_test_weights(build_model(spec), draw(st.integers(0, 2**32 - 1))), CFG
 
 
 @settings(max_examples=30)

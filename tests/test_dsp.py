@@ -63,6 +63,16 @@ def test_window_invalid_length(wlen):
         make_window(wlen)
 
 
+@pytest.mark.parametrize("wlen", [3, 0])
+def test_stft_config_rejects_invalid_window_length(wlen):
+    # the window length is fixed at 320: StftConfig takes no window_len at
+    # all, and make_window still rejects the length on its own
+    with pytest.raises(TypeError, match="window_len"):
+        StftConfig(window_len=wlen)
+    with pytest.raises(ValueError):
+        make_window(wlen)
+
+
 def test_stft_config_is_the_fixed_paper_framing():
     assert dataclasses.fields(StftConfig) == ()
     for name in ("window_len", "fft_len"):

@@ -23,27 +23,82 @@ Weight conventions (recorded in saved weight bundles):
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ThreadPoolExecutor
 
 LEAKY_RELU_SLOPE = 0.2
 
 GRU_GATES = 3
 LSTM_GATES = 4
 
-# exp(708) is finite and 1 / (1 + exp(708)) a normal float, so clamping -x at
-# 708 keeps exp from overflowing and the result from going subnormal
-_SIGMOID_EXP_MAX = 708.0
+# An input projection whose weight is at least this large runs on a worker
+# thread while the caller multiplies the block's first hidden vector.  On a
+# 2-vCPU host with one BLAS thread, overlapping every cell made the hops of
+# CRUSE4-128-1xGRU4 (2.8 MB per GRU group) slower and dearer in CPU time,
+# while CRUSE5-256-2xLSTM1 (72 MB per LSTM cell) gained about 40% of a hop
+# (measurements in CHANGES.md).
+_OVERLAP_MIN_BYTES = 16 * 2**20
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _forget_pool() -> None:
+    """In a forked child: the parent's worker thread does not exist there."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _start_projection(x: np.ndarray, w_input: np.ndarray) -> Future | None:
+    """``x @ w_input.T`` started on the process's one worker thread, which
+    begins with the first call that uses it; None where the caller should
+    compute it itself: a weight below the threshold, a process that may run
+    on one CPU only or cannot tell (no ``os.sched_getaffinity``), or an
+    interpreter that has begun to shut its thread pools down."""
+    global _pool
+    if (w_input.nbytes < _OVERLAP_MIN_BYTES or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        return None
+    with _pool_lock:
+        if _pool is None:
+            # imported here, so that a process without a large cell does not load it
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="cruse-projection")
+        pool = _pool
+    try:
+        return pool.submit(np.matmul, x, w_input.T)
+    except RuntimeError:  # once the main thread has ended, the pool takes no new work
+        return None
+
+
+@functools.cache
+def _sigmoid_exp_max(dtype: np.dtype) -> float:
+    """The clamp on ``-x``: ``exp`` of it is finite and ``1 / (1 + exp)`` of
+    it a normal float of ``dtype`` (708 for float64, 87 for float32)."""
+    return float(np.floor(-np.log(np.finfo(dtype).tiny)))
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     """The logistic function ``1 / (1 + exp(-x))``, elementwise.
 
     ``exp`` never overflows, so no input warns under numpy's default error
-    handling, ±inf included; every result is a normal float in (0, 1], or
-    NaN for NaN.  ``out`` may be ``x``.
+    handling, ±inf included; every result is a normal float of ``x``'s dtype
+    in (0, 1], or NaN for NaN.
     """
-    out = np.negative(x, out=out)
-    np.minimum(out, _SIGMOID_EXP_MAX, out=out)
+    out = np.negative(x)
+    np.minimum(out, _sigmoid_exp_max(out.dtype), out=out)
     np.exp(out, out=out)
     out += 1.0
     return np.reciprocal(out, out=out)
@@ -61,15 +116,28 @@ def fc_forward(weight: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarra
 
 def _recurrent_block(step: str, w_input: np.ndarray, w_hidden: np.ndarray,
                      b_input: np.ndarray, x: np.ndarray, state: np.ndarray, vectors: int):
-    """The block and ``(vectors, w)`` state check of :func:`gru_step` and :func:`lstm_step`;
-    returns the block's input projection and its ``(T, w)`` output buffer."""
+    """The block and ``(vectors, w)`` state check of :func:`gru_step` and :func:`lstm_step`.
+
+    Returns the block's input projection, the first frame's hidden product
+    ``w_hidden @ state[0]`` (None for an empty block) and the ``(T, w)``
+    output buffer.  The two products do not depend on each other, so for a
+    large ``w_input`` on a multi-CPU process the projection runs on the
+    worker thread of :func:`_start_projection` while the caller computes the
+    hidden product; numpy releases the GIL in both.  Each product is the
+    same BLAS call either way, so the bits do not depend on the thread.
+    """
     w = w_hidden.shape[1]
     if x.ndim != 2 or x.shape[1] != w_input.shape[1] or state.shape != (vectors, w):
         raise ValueError(
             f"{step} expects input (T, {w_input.shape[1]}) and state ({vectors}, {w}), "
             f"got {x.shape} and {state.shape}"
         )
-    return x @ w_input.T + b_input, np.empty((len(x), w))
+    if not len(x):
+        return x @ w_input.T + b_input, None, np.empty((0, w))
+    projection = _start_projection(x, w_input)
+    hidden = w_hidden @ state[0]
+    gi = projection.result() if projection is not None else x @ w_input.T
+    return gi + b_input, hidden, np.empty((len(x), w))
 
 
 def gru_step(w_input: np.ndarray, w_hidden: np.ndarray, b_input: np.ndarray,
@@ -82,11 +150,11 @@ def gru_step(w_input: np.ndarray, w_hidden: np.ndarray, b_input: np.ndarray,
     frame's.  The input projection of the whole block is one matmul; only
     the recurrent matmul runs frame by frame.
     """
-    gi, ys = _recurrent_block("gru_step", w_input, w_hidden, b_input, x, state, 1)
+    gi, hidden, ys = _recurrent_block("gru_step", w_input, w_hidden, b_input, x, state, 1)
     w = ys.shape[1]
     h = state[0]
     for t, g in enumerate(gi):
-        gh = w_hidden @ h + b_hidden
+        gh = (w_hidden @ h if t else hidden) + b_hidden
         rz = _sigmoid(g[: 2 * w] + gh[: 2 * w])
         z = rz[w:]
         n = np.tanh(g[2 * w :] + rz[:w] * gh[2 * w :])
@@ -102,11 +170,11 @@ def lstm_step(w_input: np.ndarray, w_hidden: np.ndarray, b_input: np.ndarray,
     As :func:`gru_step`, with four stacked gates (``4w`` rows) and ``state``
     the ``(2, w)`` vectors ``h, c``.
     """
-    gi, ys = _recurrent_block("lstm_step", w_input, w_hidden, b_input, x, state, 2)
+    gi, hidden, ys = _recurrent_block("lstm_step", w_input, w_hidden, b_input, x, state, 2)
     w = ys.shape[1]
     h, c = state
     for t, g in enumerate(gi):
-        gates = g + w_hidden @ h + b_hidden
+        gates = g + (w_hidden @ h if t else hidden) + b_hidden
         i_f = _sigmoid(gates[: 2 * w])
         c[...] = i_f[w:] * c + i_f[:w] * np.tanh(gates[2 * w : 3 * w])
         h = ys[t] = _sigmoid(gates[3 * w :]) * np.tanh(c)

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cruse import layers
 from cruse.layers import (
     GRU_GATES,
     LSTM_GATES,
@@ -16,6 +22,8 @@ from cruse.layers import (
     tconv2d_step,
 )
 from cruse.models import RnnLayer
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def cell_arrays(make, gates, in_dims, width):
@@ -266,6 +274,127 @@ def test_recurrent_block_equals_frame_loop(kind):
     np.testing.assert_array_equal(ys[-1], last[0])
 
 
+def _cell_formula(kind, w, x, state):
+    """The cell's update written out frame by frame, in the operation order of
+    ``gru_step``/``lstm_step``: one block matmul for the input projection, then
+    each frame's hidden matvec.  Returns the outputs and the advanced state."""
+    w_input, w_hidden, b_input, b_hidden = w
+    width = w_hidden.shape[1]
+    gi = x @ w_input.T + b_input
+    h = state[0].copy()
+    c = state[-1].copy()
+    ys = []
+    for g in gi:
+        if kind == "gru":
+            gh = w_hidden @ h + b_hidden
+            r = 1.0 / (1.0 + np.exp(-(g[:width] + gh[:width])))
+            z = 1.0 / (1.0 + np.exp(-(g[width : 2 * width] + gh[width : 2 * width])))
+            n = np.tanh(g[2 * width :] + r * gh[2 * width :])
+            h = z * h + (1.0 - z) * n
+        else:
+            gates = g + w_hidden @ h + b_hidden
+            i = 1.0 / (1.0 + np.exp(-gates[:width]))
+            f = 1.0 / (1.0 + np.exp(-gates[width : 2 * width]))
+            c = f * c + i * np.tanh(gates[2 * width : 3 * width])
+            h = 1.0 / (1.0 + np.exp(-gates[3 * width :])) * np.tanh(c)
+        ys.append(h)
+    return np.array(ys).reshape(len(x), width), np.array([h] if kind == "gru" else [h, c])
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+@pytest.mark.parametrize("frames", [0, 1, 3])
+def test_large_cell_with_overlapped_projection_equals_its_formula(kind, frames):
+    rng = np.random.default_rng(31 + frames)
+    make, step = (random_gru, gru_step) if kind == "gru" else (random_lstm, lstm_step)
+    w = tuple(a / 40.0 for a in make(rng, 1400, 512))
+    # large enough that the input projection runs on the worker thread
+    assert w[0].nbytes >= layers._OVERLAP_MIN_BYTES
+    state = rng.standard_normal((1 if kind == "gru" else 2, 512))
+    x = rng.standard_normal((frames, 1400))
+    expected, expected_state = _cell_formula(kind, w, x, state)
+    ys = step(*w, x, state)
+    assert ys.tobytes() == expected.tobytes()
+    assert state.tobytes() == expected_state.tobytes()
+    # the worker exists where more than one CPU may run this process, and
+    # only there: a process pinned to one CPU steps every cell in one thread
+    if frames:
+        workers = [t for t in threading.enumerate() if t.name.startswith("cruse-projection")]
+        assert len(workers) == (len(os.sched_getaffinity(0)) > 1)
+
+
+# a large LSTM cell stepped twice from one state: the first call starts the
+# worker thread, the second, on a copy, gives the output every later step of
+# the same block from `state` must equal
+LARGE_STEP = """
+import numpy as np
+from cruse.layers import lstm_step
+
+rng = np.random.default_rng(5)
+w = tuple(a / 40.0 for a in (rng.standard_normal((2048, 1100)), rng.standard_normal((2048, 512)),
+                             rng.standard_normal(2048), rng.standard_normal(2048)))
+x = rng.standard_normal((2, 1100))
+state = np.zeros((2, 512))
+lstm_step(*w, x, state)
+expected_state = state.copy()
+expected = lstm_step(*w, x, expected_state)
+
+
+def step_again():
+    ys = lstm_step(*w, x, state)
+    return ys.tobytes() == expected.tobytes() and state.tobytes() == expected_state.tobytes()
+"""
+
+FORK_PROBE = LARGE_STEP + """
+import faulthandler
+import os
+
+pid = os.fork()
+if pid == 0:
+    # a hung child exits by itself, with its traceback, instead of outliving the test
+    faulthandler.dump_traceback_later(60, exit=True)
+    os._exit(0 if step_again() else 3)
+_, status = os.waitpid(pid, 0)
+print(os.waitstatus_to_exitcode(status))
+"""
+
+SHUTDOWN_PROBE = LARGE_STEP + """
+import threading
+import time
+
+
+def late():
+    threading.main_thread().join()
+    time.sleep(0.2)  # by now the interpreter has shut its thread pools down
+    print(step_again())
+
+
+threading.Thread(target=late).start()
+"""
+
+
+def _run_probe(code):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120, check=False)
+    assert result.returncode == 0, result.stderr
+    return result
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_large_step_in_a_forked_child_makes_its_own_worker():
+    # the child has no copy of the parent's worker thread; submitting to the
+    # parent's pool there would wait forever, which the timeout turns into a failure
+    result = _run_probe(FORK_PROBE)
+    assert result.stdout.split() == ["0"], result.stderr
+
+
+def test_large_step_after_the_main_thread_ended_runs_in_its_own_thread():
+    # a thread that outlives the main thread steps after the interpreter has
+    # stopped the worker; the pool then refuses work, and the caller computes
+    result = _run_probe(SHUTDOWN_PROBE)
+    assert result.stdout.split() == ["True"], result.stderr
+
+
 def test_recurrent_block_rejects_wrong_rank():
     with pytest.raises(ValueError):
         gru_step(*zero_cell(GRU_GATES, 3, 4), np.zeros((2, 2, 3)), np.zeros((1, 4)))
@@ -454,13 +583,33 @@ def test_sigmoid_matches_expit_without_warnings():
     # underflowing to 0 for large x is exact here, and numpy ignores it
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         y = _sigmoid(x)
-        inplace = x.copy()
-        assert _sigmoid(inplace, out=inplace) is inplace
     np.testing.assert_allclose(y, expit(x), rtol=1e-15, atol=1e-300)
-    np.testing.assert_array_equal(inplace, y)
     assert np.isnan(y[np.isnan(x)]).all()
     finite = y[~np.isnan(x)]
     assert ((finite >= np.finfo(np.float64).tiny) & (finite <= 1.0)).all()
+
+
+def test_float32_sigmoid_matches_expit_without_warnings():
+    # the clamp follows the dtype: float64's 708 overflows float32's exp, and
+    # 88 already gives a subnormal; 87 is the last whole power that does not
+    from scipy.special import expit
+
+    rng = np.random.default_rng(12)
+    x = np.concatenate([
+        10.0 * rng.standard_normal(200_000),
+        rng.uniform(-120.0, 120.0, 200_000),
+        [np.inf, -np.inf, np.nan, 3e38, -3e38, 0.0, -0.0, 17.0, 87.0, -87.0, 88.0,
+         -88.0, -89.0, -100.0, -104.0, 1e-45],
+    ]).astype(np.float32)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        y = _sigmoid(x)
+        pair = activation_apply("sigmoid", np.float32([-100.0, 0.0]))
+    assert y.dtype == pair.dtype == np.float32
+    np.testing.assert_allclose(y, expit(x), rtol=1e-6, atol=1e-37)
+    assert np.isnan(y[np.isnan(x)]).all()
+    finite = y[~np.isnan(x)]
+    assert ((finite >= np.finfo(np.float32).tiny) & (finite <= 1.0)).all()
+    assert pair[0] >= np.finfo(np.float32).tiny and pair[1] == 0.5
 
 
 def test_parallel_rnn_single_group_is_plain_gru():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +20,7 @@ from cruse.models import (
 from cruse.streaming import StreamingEnhancer, enhance_signal
 
 CFG = StftConfig()
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_streaming_matches_batch_pipeline():
@@ -213,3 +219,30 @@ def test_process_hop_rejects_anything_but_whole_hops_and_keeps_its_state(shape):
         engine.process_hop(np.ones(shape))
     assert engine.stats().frames == 0
     np.testing.assert_array_equal(engine.process_hop(x), StreamingEnhancer(graph, CFG).process_hop(x))
+
+
+THREAD_PROBE = """
+import sys
+import threading
+import numpy as np
+from cruse.models import build_model, init_test_weights, parse_model_name
+from cruse.streaming import StreamingEnhancer
+
+rng = np.random.default_rng(3)
+for name in ("CRUSE4-128-1xGRU4", "NSnet2-400"):
+    engine = StreamingEnhancer(init_test_weights(build_model(parse_model_name(name)), 1234))
+    for k in (1, 1, 4, 2):
+        engine.process_hop(0.1 * rng.standard_normal(160 * k))
+print(threading.active_count(), "concurrent.futures" in sys.modules)
+"""
+
+
+def test_streaming_models_with_small_recurrent_cells_start_no_thread():
+    # their cells (2.8 MB and 3.7 MB of input weights) stay below the size at
+    # which a projection moves to a worker thread, so they run as before and
+    # do not even load the thread pool module
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True,
+                            text=True, timeout=120, check=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", "False"]

@@ -41,8 +41,8 @@ LSTM_GATES = 4
 # An input projection whose weight is at least this large runs on a worker
 # thread while the caller multiplies the block's first hidden vector.  On a
 # 2-vCPU host with one BLAS thread, overlapping every cell made the hops of
-# CRUSE4-128-1xGRU4 (2.8 MB per GRU group) slower and dearer in CPU time,
-# while CRUSE5-256-2xLSTM1 (72 MB per LSTM cell) gained about 40% of a hop
+# CRUSE4-128-1xGRU4 (2.8 MiB per GRU group) slower and dearer in CPU time,
+# while CRUSE5-256-2xLSTM1 (72 MiB per LSTM cell) gained about 40% of a hop
 # (measurements in CHANGES.md).
 _OVERLAP_MIN_BYTES = 16 * 2**20
 

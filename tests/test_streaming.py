@@ -238,7 +238,7 @@ print(threading.active_count(), "concurrent.futures" in sys.modules)
 
 
 def test_streaming_models_with_small_recurrent_cells_start_no_thread():
-    # their cells (2.8 MB and 3.7 MB of input weights) stay below the size at
+    # their cells (2.8 MiB and 3.7 MiB of input weights) stay below the size at
     # which a projection moves to a worker thread, so they run as before and
     # do not even load the thread pool module
     env = {**os.environ, "PYTHONPATH": str(SRC)}

@@ -8,7 +8,6 @@ and validation metrics used to study the quality-vs-complexity tradeoff.
 from .dsp import (
     StftConfig,
     apply_gain,
-    consistency_project,
     istft,
     log_power_features,
     make_window,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "StftConfig",
     "apply_gain",
-    "consistency_project",
     "istft",
     "log_power_features",
     "make_window",

@@ -60,16 +60,11 @@ class StftConfig:
     _cola.flags.writeable = False
 
 
-def num_frames(num_samples: int, config: StftConfig) -> int:
-    """Frame count produced by :func:`stft` for ``num_samples`` input samples:
-    one per whole hop, since the head is padded by one hop."""
-    return num_samples // config.hop_len
-
-
 def require_frames(num_samples: int, config: StftConfig) -> int:
-    """:func:`num_frames`, raising ``ValueError`` when it is zero (a signal
-    shorter than one hop)."""
-    frames = num_frames(num_samples, config)
+    """Frame count produced by :func:`stft` for ``num_samples`` input samples:
+    one per whole hop, since the head is padded by one hop.  Raises
+    ``ValueError`` when it is zero (a signal shorter than one hop)."""
+    frames = num_samples // config.hop_len
     if frames < 1:
         raise ValueError(
             f"signal of {num_samples} samples is shorter than one hop ({config.hop_len})"
@@ -180,12 +175,3 @@ def apply_gain(spec: np.ndarray, gains: np.ndarray) -> np.ndarray:
     if spec.shape != gains.shape:
         raise ValueError(f"gain shape {gains.shape} does not match spectrogram {spec.shape}")
     return spec * gains
-
-
-def consistency_project(spec: np.ndarray, config: StftConfig = StftConfig()) -> np.ndarray:
-    """Project onto the set of consistent spectrograms: ``stft(istft(spec))``.
-
-    Idempotent, and the identity (up to rounding) on spectrograms that were
-    produced by :func:`stft`.
-    """
-    return stft(istft(spec, config), config)

@@ -23,64 +23,58 @@ Weight conventions (recorded in saved weight bundles):
 
 from __future__ import annotations
 
+import _thread
 import functools
 import os
-import threading
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from concurrent.futures import Future, ThreadPoolExecutor
 
 LEAKY_RELU_SLOPE = 0.2
 
 GRU_GATES = 3
 LSTM_GATES = 4
 
-# An input projection whose weight is at least this large runs on a worker
-# thread while the caller multiplies the block's first hidden vector.  On a
-# 2-vCPU host with one BLAS thread, overlapping every cell made the hops of
-# CRUSE4-128-1xGRU4 (2.8 MiB per GRU group) slower and dearer in CPU time,
-# while CRUSE5-256-2xLSTM1 (72 MiB per LSTM cell) gained about 40% of a hop
-# (measurements in CHANGES.md).
+# An input projection whose weight is at least this large runs on a helper
+# thread, started for the call, while the caller multiplies the block's first
+# hidden vector.  On a 2-vCPU host with one BLAS thread, overlapping every
+# cell made the hops of CRUSE4-128-1xGRU4 (2.8 MiB per GRU group) slower and
+# dearer in CPU time, while CRUSE5-256-2xLSTM1 (72 MiB per LSTM cell) gained
+# about 40% of a hop (measurements in CHANGES.md).
 _OVERLAP_MIN_BYTES = 16 * 2**20
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 
+def _overlap_projection(x: np.ndarray, w_input: np.ndarray, w_hidden: np.ndarray,
+                        h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(x @ w_input.T, w_hidden @ h)``, the first on a helper thread started
+    for this call while the caller computes the second; numpy releases the
+    GIL in both.  The helper is waited for before this returns, whatever the
+    caller's product does, so no thread outlives the call, and an exception
+    raised in the helper is raised here.  An interpreter that is finalizing
+    starts no thread; the caller then computes both."""
+    gi = np.empty((len(x), len(w_input)), np.result_type(x, w_input))
+    done = _thread.allocate_lock()
+    done.acquire()
+    failed = []
 
-def _forget_pool() -> None:
-    """In a forked child: the parent's worker thread does not exist there."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    def project():
+        try:
+            np.matmul(x, w_input.T, out=gi)
+        except BaseException as exc:  # raised in the caller below
+            failed.append(exc)
+        finally:
+            done.release()
 
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _start_projection(x: np.ndarray, w_input: np.ndarray) -> Future | None:
-    """``x @ w_input.T`` started on the process's one worker thread, which
-    begins with the first call that uses it; None where the caller should
-    compute it itself: a weight below the threshold, a process that may run
-    on one CPU only or cannot tell (no ``os.sched_getaffinity``), or an
-    interpreter that has begun to shut its thread pools down."""
-    global _pool
-    if (w_input.nbytes < _OVERLAP_MIN_BYTES or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2):
-        return None
-    with _pool_lock:
-        if _pool is None:
-            # imported here, so that a process without a large cell does not load it
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(1, thread_name_prefix="cruse-projection")
-        pool = _pool
     try:
-        return pool.submit(np.matmul, x, w_input.T)
-    except RuntimeError:  # once the main thread has ended, the pool takes no new work
-        return None
+        _thread.start_new_thread(project, ())
+    except RuntimeError:
+        project()
+    try:
+        hidden = w_hidden @ h
+    finally:
+        done.acquire()
+    if failed:
+        raise failed.pop()
+    return gi, hidden
 
 
 @functools.cache
@@ -121,10 +115,9 @@ def _recurrent_block(step: str, w_input: np.ndarray, w_hidden: np.ndarray,
     Returns the block's input projection, the first frame's hidden product
     ``w_hidden @ state[0]`` (None for an empty block) and the ``(T, w)``
     output buffer.  The two products do not depend on each other, so for a
-    large ``w_input`` on a multi-CPU process the projection runs on the
-    worker thread of :func:`_start_projection` while the caller computes the
-    hidden product; numpy releases the GIL in both.  Each product is the
-    same BLAS call either way, so the bits do not depend on the thread.
+    large ``w_input`` on a multi-CPU process :func:`_overlap_projection`
+    computes them at once.  Each product is the same BLAS call either way,
+    so the bits do not depend on the thread.
     """
     w = w_hidden.shape[1]
     if x.ndim != 2 or x.shape[1] != w_input.shape[1] or state.shape != (vectors, w):
@@ -134,10 +127,13 @@ def _recurrent_block(step: str, w_input: np.ndarray, w_hidden: np.ndarray,
         )
     if not len(x):
         return x @ w_input.T + b_input, None, np.empty((0, w))
-    projection = _start_projection(x, w_input)
-    hidden = w_hidden @ state[0]
-    gi = projection.result() if projection is not None else x @ w_input.T
-    return gi + b_input, hidden, np.empty((len(x), w))
+    if (w_input.nbytes >= _OVERLAP_MIN_BYTES and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1):
+        gi, hidden = _overlap_projection(x, w_input, w_hidden, state[0])
+        gi += b_input
+    else:
+        gi, hidden = x @ w_input.T + b_input, w_hidden @ state[0]
+    return gi, hidden, np.empty((len(x), w))
 
 
 def gru_step(w_input: np.ndarray, w_hidden: np.ndarray, b_input: np.ndarray,

@@ -1,8 +1,8 @@
+import _thread
 import math
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -301,30 +301,83 @@ def _cell_formula(kind, w, x, state):
     return np.array(ys).reshape(len(x), width), np.array([h] if kind == "gru" else [h, c])
 
 
-@pytest.mark.parametrize("kind", ["gru", "lstm"])
-@pytest.mark.parametrize("frames", [0, 1, 3])
-def test_large_cell_with_overlapped_projection_equals_its_formula(kind, frames):
+def _large_cell(kind, frames):
+    """A cell whose input weight is over the overlap threshold, a state and
+    ``frames`` input frames, seeded by ``frames``."""
     rng = np.random.default_rng(31 + frames)
-    make, step = (random_gru, gru_step) if kind == "gru" else (random_lstm, lstm_step)
+    make = random_gru if kind == "gru" else random_lstm
     w = tuple(a / 40.0 for a in make(rng, 1400, 512))
-    # large enough that the input projection runs on the worker thread
     assert w[0].nbytes >= layers._OVERLAP_MIN_BYTES
     state = rng.standard_normal((1 if kind == "gru" else 2, 512))
-    x = rng.standard_normal((frames, 1400))
+    return w, rng.standard_normal((frames, 1400)), state
+
+
+def _count_threads(monkeypatch):
+    """Counts the threads started through ``_thread.start_new_thread`` from now on."""
+    started = []
+    start = _thread.start_new_thread
+
+    def counted(*args):
+        started.append(args)
+        return start(*args)
+
+    monkeypatch.setattr(_thread, "start_new_thread", counted)
+    return started
+
+
+def _two_cpus(monkeypatch):
+    # the helper thread starts only where the process may run on two CPUs
+    monkeypatch.setattr(layers.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+@pytest.mark.parametrize("frames", [0, 1, 3])
+def test_large_cell_with_overlapped_projection_equals_its_formula(kind, frames, monkeypatch):
+    step = gru_step if kind == "gru" else lstm_step
+    w, x, state = _large_cell(kind, frames)
     expected, expected_state = _cell_formula(kind, w, x, state)
+    started = _count_threads(monkeypatch)
     ys = step(*w, x, state)
     assert ys.tobytes() == expected.tobytes()
     assert state.tobytes() == expected_state.tobytes()
-    # the worker exists where more than one CPU may run this process, and
-    # only there: a process pinned to one CPU steps every cell in one thread
-    if frames:
-        workers = [t for t in threading.enumerate() if t.name.startswith("cruse-projection")]
-        assert len(workers) == (len(os.sched_getaffinity(0)) > 1)
+    # one helper thread per call where more than one CPU may run this process,
+    # and only there: a process pinned to one CPU steps every cell in one thread
+    assert len(started) == (frames > 0 and len(os.sched_getaffinity(0)) > 1)
 
 
-# a large LSTM cell stepped twice from one state: the first call starts the
-# worker thread, the second, on a copy, gives the output every later step of
-# the same block from `state` must equal
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_large_cell_raises_what_its_helper_thread_raised(kind, monkeypatch):
+    step = gru_step if kind == "gru" else lstm_step
+    w, x, state = _large_cell(kind, 2)
+    _two_cpus(monkeypatch)
+    started = _count_threads(monkeypatch)
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("projection")
+
+    monkeypatch.setattr(np, "matmul", out_of_memory)
+    with pytest.raises(MemoryError, match="projection"):
+        step(*w, x, state)
+    assert len(started) == 1
+
+
+def test_large_cell_computes_its_projection_itself_when_no_thread_starts(monkeypatch):
+    # a finalizing interpreter refuses new threads with RuntimeError
+    w, x, state = _large_cell("lstm", 3)
+    expected, expected_state = _cell_formula("lstm", w, x, state)
+    _two_cpus(monkeypatch)
+
+    def refused(*args):
+        raise RuntimeError("can't create new thread at interpreter shutdown")
+
+    monkeypatch.setattr(_thread, "start_new_thread", refused)
+    ys = lstm_step(*w, x, state)
+    assert ys.tobytes() == expected.tobytes()
+    assert state.tobytes() == expected_state.tobytes()
+
+
+# a large LSTM cell stepped twice from one state: the second call, on a copy,
+# gives the output every later step of the same block from `state` must equal
 LARGE_STEP = """
 import numpy as np
 from cruse.layers import lstm_step
@@ -364,11 +417,17 @@ import time
 
 def late():
     threading.main_thread().join()
-    time.sleep(0.2)  # by now the interpreter has shut its thread pools down
+    time.sleep(0.2)  # by now the interpreter has run its thread shutdown
     print(step_again())
 
 
 threading.Thread(target=late).start()
+"""
+
+ATEXIT_PROBE = LARGE_STEP + """
+import atexit
+
+atexit.register(lambda: print(step_again()))
 """
 
 
@@ -382,16 +441,21 @@ def _run_probe(code):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_large_step_in_a_forked_child_makes_its_own_worker():
-    # the child has no copy of the parent's worker thread; submitting to the
-    # parent's pool there would wait forever, which the timeout turns into a failure
+    # the child steps with the parent's weights and state after the parent
+    # has stepped large cells; a hang there is a failure through the timeout
     result = _run_probe(FORK_PROBE)
     assert result.stdout.split() == ["0"], result.stderr
 
 
 def test_large_step_after_the_main_thread_ended_runs_in_its_own_thread():
-    # a thread that outlives the main thread steps after the interpreter has
-    # stopped the worker; the pool then refuses work, and the caller computes
+    # a thread that outlives the main thread steps while the interpreter
+    # shuts down, and gets the same bits
     result = _run_probe(SHUTDOWN_PROBE)
+    assert result.stdout.split() == ["True"], result.stderr
+
+
+def test_large_step_in_an_atexit_handler_gives_the_same_bits():
+    result = _run_probe(ATEXIT_PROBE)
     assert result.stdout.split() == ["True"], result.stderr
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cruse.dsp import StftConfig, apply_gain, consistency_project, stft
+from cruse.dsp import StftConfig, apply_gain, istft, stft
 from cruse.metrics import (
     LOSS_BLEND,
     ScoreSet,
@@ -162,7 +162,7 @@ def test_training_loss_scores_consistency_projection():
         rng.standard_normal((100, 161)) + 1j * rng.standard_normal((100, 161))
     )
     direct = training_loss(inconsistent, target)
-    projected = training_loss(consistency_project(inconsistent, CFG), target)
+    projected = training_loss(stft(istft(inconsistent, CFG), CFG), target)
     assert direct == pytest.approx(projected, rel=1e-6)
 
 

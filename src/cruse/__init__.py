@@ -17,7 +17,6 @@ from .macs import MacReport, macs_model
 from .models import (
     ModelGraph,
     ModelSpec,
-    StreamState,
     build_model,
     cruse_spec,
     format_model_name,
@@ -44,7 +43,6 @@ __all__ = [
     "macs_model",
     "ModelGraph",
     "ModelSpec",
-    "StreamState",
     "build_model",
     "cruse_spec",
     "format_model_name",

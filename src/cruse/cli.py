@@ -22,7 +22,6 @@ from .dsp import SAMPLE_RATE, StftConfig, istft, stft
 from .macs import macs_gru, macs_lstm, macs_model
 from .models import (
     SKIP_KINDS,
-    StreamState,
     _build_graph,
     _zero_view,
     build_model,
@@ -132,6 +131,9 @@ def cmd_datagen(args) -> int:
 
 
 def _paired_files(enhanced_dir, reference_dir):
+    for directory in (enhanced_dir, reference_dir):
+        if not Path(directory).is_dir():
+            raise ValueError(f"{directory}: not a directory")
     enh = {p.name: p for p in sorted(Path(enhanced_dir).glob("*.wav"))}
     ref = {p.name: p for p in sorted(Path(reference_dir).glob("*.wav"))}
     orphans = sorted(set(enh) ^ set(ref))
@@ -203,7 +205,7 @@ def _check_streaming_equivalence():
     graph = init_test_weights(build_model(parse_model_name("CRUSE4-64-1xGRU2")), 99)
     rng = np.random.default_rng(3)
     feats = rng.standard_normal((30, 161))
-    state = StreamState(graph)
+    state = graph.zero_state()
     streamed = np.stack([infer_frame(graph, state, f) for f in feats])
     err = float(np.max(np.abs(streamed - infer_utterance(graph, feats))))
     return err < 1e-6, f"max gain difference {err:.2e}"

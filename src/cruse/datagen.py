@@ -218,11 +218,12 @@ def scale_pair_to_level(mixture: np.ndarray, target: np.ndarray, level_dbfs: flo
 
 
 def _csv_rows(path, required, key: str):
-    """``(line, row)`` for each row of a delimited file with a header; a missing
-    ``required`` column, or a row that repeats an earlier row's stripped ``key``
-    value, is a ``ValueError`` naming the file (and both lines)."""
+    """``(line, row)`` for each row of a UTF-8 delimited file with a header,
+    with or without a byte-order mark; a missing ``required`` column, or a row
+    that repeats an earlier row's stripped ``key`` value, is a ``ValueError``
+    naming the file (and both lines)."""
     seen: dict[str, int] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh, restval="")
         missing = set(required) - set(reader.fieldnames or ())
         if missing:

@@ -113,11 +113,11 @@ def _recurrent_block(step: str, w_input: np.ndarray, w_hidden: np.ndarray,
     """The block and ``(vectors, w)`` state check of :func:`gru_step` and :func:`lstm_step`.
 
     Returns the block's input projection, the first frame's hidden product
-    ``w_hidden @ state[0]`` (None for an empty block) and the ``(T, w)``
+    ``w_hidden @ state[0]`` (unread for an empty block) and the ``(T, w)``
     output buffer.  The two products do not depend on each other, so for a
-    large ``w_input`` on a multi-CPU process :func:`_overlap_projection`
-    computes them at once.  Each product is the same BLAS call either way,
-    so the bits do not depend on the thread.
+    large ``w_input`` and a non-empty block on a multi-CPU process
+    :func:`_overlap_projection` computes them at once.  Each product is the
+    same BLAS call either way, so the bits do not depend on the thread.
     """
     w = w_hidden.shape[1]
     if x.ndim != 2 or x.shape[1] != w_input.shape[1] or state.shape != (vectors, w):
@@ -125,9 +125,7 @@ def _recurrent_block(step: str, w_input: np.ndarray, w_hidden: np.ndarray,
             f"{step} expects input (T, {w_input.shape[1]}) and state ({vectors}, {w}), "
             f"got {x.shape} and {state.shape}"
         )
-    if not len(x):
-        return x @ w_input.T + b_input, None, np.empty((0, w))
-    if (w_input.nbytes >= _OVERLAP_MIN_BYTES and hasattr(os, "sched_getaffinity")
+    if (len(x) and w_input.nbytes >= _OVERLAP_MIN_BYTES and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1):
         gi, hidden = _overlap_projection(x, w_input, w_hidden, state[0])
         gi += b_input

@@ -356,7 +356,8 @@ class ModelGraph:
     """Ordered layers plus skip wiring for one architecture instance.
 
     Weights are treated as immutable during inference, so one graph can be
-    shared across threads; all per-stream mutability lives in StreamState.
+    shared across threads; all per-stream mutability lives in the dict of
+    arrays that :meth:`zero_state` makes.
     """
 
     spec: ModelSpec
@@ -379,6 +380,15 @@ class ModelGraph:
     def param_count(self) -> int:
         # the stored arrays: a recurrent block's four, not its per-cell views
         return sum(a.size for layer in self.iter_layers() for _, a in _Layer.param_arrays(layer))
+
+    def zero_state(self) -> dict[str, np.ndarray]:
+        """A stream's carryover: by layer name, each stateful layer's
+        ``zero_state()``, which inference advances in place.
+
+        One per audio stream; never share one between concurrent streams.
+        """
+        stateful = (layer for layer in self.iter_layers() if hasattr(layer, "zero_state"))
+        return {layer.name: layer.zero_state() for layer in stateful}
 
 
 def conv_freq_sizes(num_bins: int, layers: int) -> list[int]:
@@ -667,26 +677,14 @@ def load_weights(path) -> ModelGraph:
 # Streaming inference
 
 
-class StreamState:
-    """Per-stream carryover of each stateful layer: one array per layer, from
-    its ``zero_state()``, that inference advances in place.
-
-    One instance per audio stream; never share between concurrent streams.
-    """
-
-    def __init__(self, graph: ModelGraph):
-        stateful = (layer for layer in graph.iter_layers() if hasattr(layer, "zero_state"))
-        self.layer_states = {layer.name: layer.zero_state() for layer in stateful}
-
-
-def infer_frame(graph: ModelGraph, state: StreamState, features: np.ndarray) -> np.ndarray:
+def infer_frame(graph: ModelGraph, state: dict[str, np.ndarray], features: np.ndarray) -> np.ndarray:
     """One forward pass over a feature frame ``(bins,)`` or a block of
     consecutive frames ``(T, bins)``: the one model body.
 
-    Advances the arrays of ``state`` in place and returns per-bin
-    suppression gains of the shape of ``features``, each strictly inside
-    (0, 1).  Within a block every layer but the recurrent matmul is one
-    matmul over all frames.
+    Advances the arrays of ``state``, a :meth:`ModelGraph.zero_state` dict,
+    in place and returns per-bin suppression gains of the shape of
+    ``features``, each strictly inside (0, 1).  Within a block every layer
+    but the recurrent matmul is one matmul over all frames.
     """
     k = graph.spec.num_bins
     features = np.asarray(features, dtype=np.float64)
@@ -694,21 +692,20 @@ def infer_frame(graph: ModelGraph, state: StreamState, features: np.ndarray) -> 
         raise ValueError(
             f"expected features of shape ({k},) or (frames, {k}), got {features.shape}"
         )
-    ls = state.layer_states
     x = features.reshape(-1, k)
     if graph.spec.family == "nsnet2":
         for layer in graph.stack:
-            x = layer.forward(x, ls.get(layer.name))
+            x = layer.forward(x, state.get(layer.name))
         return x.reshape(features.shape)
 
     x = x[:, None, :]  # 1 input channel
     enc_outs = []
     for layer in graph.encoder:
-        x = layer.forward(x, ls[layer.name])
+        x = layer.forward(x, state[layer.name])
         enc_outs.append(x)
-    x = graph.bottleneck.forward(x, ls[graph.bottleneck.name])
+    x = graph.bottleneck.forward(x, state[graph.bottleneck.name])
     for layer, skip in zip(graph.decoder, graph.skips):
-        x = layer.forward(skip.forward(enc_outs.pop(), x), ls[layer.name])
+        x = layer.forward(skip.forward(enc_outs.pop(), x), state[layer.name])
     return x[:, 0].reshape(features.shape)
 
 
@@ -726,7 +723,7 @@ def infer_utterance(graph: ModelGraph, features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError(f"expected (frames, bins) features, got shape {features.shape}")
-    state = StreamState(graph)
+    state = graph.zero_state()
     gains = np.empty_like(features)
     for start in range(0, len(features), BLOCK_FRAMES):
         block = slice(start, start + BLOCK_FRAMES)

@@ -24,7 +24,7 @@ from .dsp import (
     log_power_features,
     require_frames,
 )
-from .models import BLOCK_FRAMES, ModelGraph, StreamState, infer_frame
+from .models import BLOCK_FRAMES, ModelGraph, infer_frame
 
 # The largest input magnitude kept: the largest finite float32, so every finite
 # WAV sample is kept and no kept sample's power overflows.
@@ -57,7 +57,7 @@ class StreamingEnhancer:
             )
         self.graph = graph
         self.config = config
-        self.state = StreamState(graph)
+        self.state = graph.zero_state()
         self._head = np.zeros(config.hop_len)       # input before the next frame: starts as zeros
         self._tail = np.zeros(config.hop_len)       # second half of the last frame: silence
         self._frames = 0
@@ -103,7 +103,7 @@ class StreamingEnhancer:
         spec = _frame_spectra(self._head, samples, cfg)
         gains = infer_frame(self.graph, self.state, log_power_features(spec))
         if not np.isfinite(gains).all():
-            for array in self.state.layer_states.values():
+            for array in self.state.values():
                 array[...] = 0.0
             gains = 1.0
             self._state_resets += 1

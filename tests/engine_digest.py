@@ -52,7 +52,6 @@ from cruse.datagen import AssetStore, generate_pair, sample_recipe  # noqa: E402
 from cruse.dsp import SAMPLE_RATE, log_power_features, stft  # noqa: E402
 from cruse.metrics import cepstral_distance, si_sdr, training_loss  # noqa: E402
 from cruse.models import (  # noqa: E402
-    StreamState,
     build_model,
     cruse_spec,
     infer_frame,
@@ -113,9 +112,9 @@ def _model_parts(label, graph, signal, bundle_dir):
     parts[f"{label}/enhance_signal"] = _sha(enhance_signal(graph, signal)[0])
     features = log_power_features(stft(signal))
     parts[f"{label}/infer_utterance"] = _sha(infer_utterance(graph, features))
-    state = StreamState(graph)
+    state = graph.zero_state()
     gains = [infer_frame(graph, state, f) for f in features[:LOOP_FRAMES]]
-    finals = [state.layer_states[name] for name in sorted(state.layer_states)]
+    finals = [state[name] for name in sorted(state)]
     parts[f"{label}/infer_frame"] = _sha(*gains, *finals)
     return parts
 

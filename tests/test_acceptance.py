@@ -14,7 +14,6 @@ from cruse.dsp import StftConfig, istft, make_window, stft
 from cruse.macs import macs_gru, macs_lstm, macs_model
 from cruse.metrics import level_normalize_pair, loss_ccmse, si_sdr, training_loss
 from cruse.models import (
-    StreamState,
     build_model,
     cruse_spec,
     infer_frame,
@@ -110,7 +109,7 @@ def test_criterion_05_streaming_equivalence():
     worst = 0.0
     for name in ("NSnet2-400", "CRUSE4-128-1xGRU4"):
         graph = init_test_weights(build_model(parse_model_name(name)), 1234)
-        state = StreamState(graph)
+        state = graph.zero_state()
         streamed = np.stack([infer_frame(graph, state, f) for f in feats])
         batch = infer_utterance(graph, feats)
         worst = max(worst, float(np.max(np.abs(streamed - batch))))
@@ -181,7 +180,7 @@ def test_criterion_09_latency_budget():
     feats = rng.standard_normal(161)
 
     def frame_times(graph, frames=200):
-        state = StreamState(graph)
+        state = graph.zero_state()
         for _ in range(20):
             infer_frame(graph, state, feats)
         times = np.empty(frames)

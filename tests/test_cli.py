@@ -447,12 +447,37 @@ def test_evaluate_with_scores(eval_dirs, tmp_path, capsys):
     assert float(first[4]) == pytest.approx(2.0 + 20.0, abs=1e-6)
 
 
+def test_evaluate_with_scores_saved_with_a_byte_order_mark(eval_dirs, tmp_path, capsys):
+    enh, ref = eval_dirs
+    scores = tmp_path / "scores.csv"
+    scores.write_text("id,pesq\nutt1,2.0\nutt2,3.0\n", encoding="utf-8-sig")
+    code, out, _ = run(capsys, "evaluate", "--enhanced", str(enh), "--reference", str(ref),
+                       "--scores", str(scores), "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0].split(",")[-1] == "q"
+    assert float(lines[1].split(",")[4]) == pytest.approx(2.0 + 20.0, abs=1e-6)
+
+
 def test_evaluate_orphans_error(eval_dirs, capsys):
     enh, ref = eval_dirs
     write_wav(enh / "extra.wav", np.zeros(SR) + 0.1, SR)
     code, _, err = run(capsys, "evaluate", "--enhanced", str(enh), "--reference", str(ref))
     assert code == 1
     assert "extra.wav" in err
+
+
+@pytest.mark.parametrize("flag", ["--enhanced", "--reference"])
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_evaluate_names_a_side_that_is_not_a_directory(eval_dirs, tmp_path, capsys, flag, kind):
+    enh, ref = eval_dirs
+    bad = tmp_path / "elsewhere"
+    if kind == "file":
+        write_wav(bad, np.zeros(SR), SR)
+    dirs = {"--enhanced": str(enh), "--reference": str(ref), flag: str(bad)}
+    code, out, err = run(capsys, "evaluate", *(arg for item in dirs.items() for arg in item))
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == f"error: {bad}: not a directory"
 
 
 def test_evaluate_scores_without_pesq_column(eval_dirs, tmp_path, capsys):

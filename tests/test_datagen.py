@@ -418,3 +418,13 @@ def test_manifest_repeating_a_path_errors(tmp_path):
                     " a.wav ,speech,0.5,5\n")
     with pytest.raises(ValueError, match=r"manifest\.csv: line 4: path 'a\.wav' repeats line 2"):
         AssetStore.from_manifest(path)
+
+
+def test_manifest_saved_with_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF, ahead of the first header
+    path = tmp_path / "manifest.csv"
+    path.write_text("path,kind,t60,c50\nspeech_dry1.wav,speech,,\nrir1.wav,rir,0.4,3.0\n",
+                    encoding="utf-8-sig")
+    store = AssetStore.from_manifest(path)
+    assert sorted(store.entries) == ["rir1.wav", "speech_dry1.wav"]
+    assert (store.entries["rir1.wav"].t60, store.entries["rir1.wav"].c50) == (0.4, 3.0)

@@ -264,6 +264,12 @@ def test_read_scores_file(tmp_path):
     assert scores["utt2"] == {"pesq": 1.9}
 
 
+def test_read_scores_file_saved_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("id,pesq\nutt1,2.5\n", encoding="utf-8-sig")
+    assert read_scores_file(path) == {"utt1": {"pesq": 2.5}}
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -18,7 +18,6 @@ from cruse.models import (
     SKIP_KINDS,
     FcLayer,
     RnnLayer,
-    StreamState,
     build_model,
     conv_freq_sizes,
     cruse_spec,
@@ -342,7 +341,7 @@ def test_bundle_that_does_not_fit_in_memory_raises_value_error(tmp_path, monkeyp
 @pytest.mark.parametrize("name", ["NSnet2-32", "CRUSE4-32-1xGRU2"])
 def test_zero_weights_give_half_gains(name):
     graph = build_model(parse_model_name(name))
-    state = StreamState(graph)
+    state = graph.zero_state()
     gains = infer_frame(graph, state, np.random.default_rng(0).standard_normal(161))
     np.testing.assert_array_equal(gains, np.full(161, 0.5))
 
@@ -358,7 +357,7 @@ def test_gains_strictly_inside_unit_interval(name):
 
 def test_repeated_frame_converges_to_fixed_point():
     graph = init_test_weights(build_model(parse_model_name("CRUSE4-64-1xGRU2")), 9)
-    state = StreamState(graph)
+    state = graph.zero_state()
     frame = np.random.default_rng(2).standard_normal(161)
     prev = infer_frame(graph, state, frame)
     diffs = []
@@ -374,7 +373,7 @@ def test_repeated_frame_converges_to_fixed_point():
 def test_utterance_equals_streaming_loop():
     graph = init_test_weights(build_model(parse_model_name("CRUSE4-64-1xGRU2")), 11)
     feats = np.random.default_rng(3).standard_normal((25, 161))
-    state = StreamState(graph)
+    state = graph.zero_state()
     streamed = np.stack([infer_frame(graph, state, f) for f in feats])
     # block matmuls round differently from per-frame ones
     np.testing.assert_allclose(infer_utterance(graph, feats), streamed, rtol=0, atol=1e-12)
@@ -383,7 +382,7 @@ def test_utterance_equals_streaming_loop():
 def test_single_frame_utterance():
     graph = init_test_weights(build_model(nsnet2_spec(32)), 4)
     feats = np.random.default_rng(4).standard_normal((1, 161))
-    one = infer_frame(graph, StreamState(graph), feats[0])
+    one = infer_frame(graph, graph.zero_state(), feats[0])
     np.testing.assert_array_equal(infer_utterance(graph, feats), one[None, :])
 
 
@@ -397,15 +396,15 @@ def test_feature_shape_validation():
     graph = build_model(nsnet2_spec(16))
     for shape in [(100,), (3, 100), (2, 3, 161)]:  # a frame, a block, 3-D
         with pytest.raises(ValueError):
-            infer_frame(graph, StreamState(graph), np.zeros(shape))
+            infer_frame(graph, graph.zero_state(), np.zeros(shape))
 
 
 def test_block_of_frames_matches_single_frames():
     graph = init_test_weights(build_model(parse_model_name("CRUSE4-64-1xGRU2")), 12)
     feats = np.random.default_rng(6).standard_normal((5, 161))
-    state = StreamState(graph)
+    state = graph.zero_state()
     looped = np.stack([infer_frame(graph, state, f) for f in feats])
-    block = infer_frame(graph, StreamState(graph), feats)
+    block = infer_frame(graph, graph.zero_state(), feats)
     assert block.shape == feats.shape
     np.testing.assert_allclose(block, looped, rtol=0, atol=1e-12)
 
@@ -413,24 +412,24 @@ def test_block_of_frames_matches_single_frames():
 @pytest.mark.parametrize("name", ["NSnet2-32", "CRUSE3-32-1xGRU2", "CRUSE3-32-2xLSTM2"])
 def test_infer_frame_advances_each_state_array_in_place(name):
     graph = init_test_weights(build_model(parse_model_name(name)), 7)
-    state = StreamState(graph)
-    arrays = dict(state.layer_states)
+    state = graph.zero_state()
+    arrays = dict(state)
     feats = np.random.default_rng(7).standard_normal((4, 161))
     for block in (feats[0], feats[1:3], feats[3]):
         infer_frame(graph, state, block)
         for key, array in arrays.items():
-            assert state.layer_states[key] is array, key
+            assert state[key] is array, key
             assert np.all(array != 0), key  # advanced from its zeros
 
 
 @pytest.mark.parametrize("name", ["NSnet2-32", "CRUSE3-32-1xGRU2", "CRUSE3-32-2xLSTM2"])
 def test_zero_frame_block_returns_no_gains_and_keeps_the_state(name):
     graph = init_test_weights(build_model(parse_model_name(name)), 8)
-    state = StreamState(graph)
+    state = graph.zero_state()
     infer_frame(graph, state, np.random.default_rng(8).standard_normal((3, 161)))
-    before = {key: array.copy() for key, array in state.layer_states.items()}
+    before = {key: array.copy() for key, array in state.items()}
     assert infer_frame(graph, state, np.zeros((0, 161))).shape == (0, 161)
-    for key, array in state.layer_states.items():
+    for key, array in state.items():
         np.testing.assert_array_equal(array, before[key], err_msg=key)
 
 
@@ -464,12 +463,12 @@ FORWARD_SPECS = [nsnet2_spec(32)] + [
 def test_layer_forwards_in_wiring_order_equal_infer_frame(spec):
     graph = init_test_weights(build_model(spec), 9)
     feats = np.random.default_rng(9).standard_normal((5, 161))
-    state, by_hand = StreamState(graph), StreamState(graph).layer_states
+    state, by_hand = graph.zero_state(), graph.zero_state()
     for block in (feats[:1], feats[1:]):
         gains = infer_frame(graph, state, block)
         np.testing.assert_array_equal(_forward_in_wiring_order(graph, by_hand, block), gains)
-    assert by_hand.keys() == state.layer_states.keys()
-    for key, array in state.layer_states.items():
+    assert by_hand.keys() == state.keys()
+    for key, array in state.items():
         np.testing.assert_array_equal(by_hand[key], array, err_msg=key)
 
 
@@ -489,7 +488,7 @@ def test_infer_frame_calls_each_primitive_through_its_module_binding(name, frame
         monkeypatch.setattr(cruse.models, primitive, counted)
     spec = parse_model_name(name)
     graph = build_model(spec)
-    infer_frame(graph, StreamState(graph), np.zeros((frames, 161)))
+    infer_frame(graph, graph.zero_state(), np.zeros((frames, 161)))
     if spec.family == "nsnet2":
         assert calls == {"gru_step": 2}
     else:

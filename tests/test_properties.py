@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from cruse.macs import macs_model
 from cruse.models import (
     RnnLayer,
-    StreamState,
     build_model,
     conv_freq_sizes,
     cruse_spec,
@@ -61,12 +60,12 @@ def _case(spec, seed, frames):
 @given(SPECS, st.integers(0, 2**32 - 1), st.integers(0, 150))
 def test_utterance_equals_frame_loop(spec, seed, frames):
     graph, feats, _ = _case(spec, seed, frames)
-    state = StreamState(graph)
+    state = graph.zero_state()
     layers = {layer.name: layer for layer in graph.iter_layers()}
     looped = []
     for f in feats:
         looped.append(infer_frame(graph, state, f))
-        for name, carried in state.layer_states.items():
+        for name, carried in state.items():
             zero = layers[name].zero_state()
             assert (carried.shape, carried.dtype) == (zero.shape, zero.dtype), name
     looped = np.array(looped).reshape(feats.shape)

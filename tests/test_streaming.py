@@ -114,12 +114,12 @@ def test_non_finite_state_is_reset_and_counted():
     engine = StreamingEnhancer(graph, CFG)
     for hop in hops[:4]:
         engine.process_hop(hop)
-    states = dict(engine.state.layer_states)
+    states = dict(engine.state)
     states[graph.bottleneck.name][0, 0, 0, 0] = np.nan
     # the call that meets the NaN: finite output, every state array zeroed in place
     assert np.isfinite(engine.process_hop(hops[4])).all()
     assert engine.stats().state_resets == 1
-    assert all(engine.state.layer_states[name] is array for name, array in states.items())
+    assert all(engine.state[name] is array for name, array in states.items())
     assert not any(array.any() for array in states.values())
     for chunk in (hops[5:7], hops[7], hops[8:12]):   # k = 2, 1, 4 from the zeroed state
         assert np.isfinite(engine.process_hop(chunk.ravel())).all()

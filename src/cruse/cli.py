@@ -134,8 +134,9 @@ def _paired_files(enhanced_dir, reference_dir):
     for directory in (enhanced_dir, reference_dir):
         if not Path(directory).is_dir():
             raise ValueError(f"{directory}: not a directory")
-    enh = {p.name: p for p in sorted(Path(enhanced_dir).glob("*.wav"))}
-    ref = {p.name: p for p in sorted(Path(reference_dir).glob("*.wav"))}
+    # a .wav suffix in any case; names still pair exactly
+    enh, ref = ({p.name: p for p in Path(d).iterdir() if p.name.lower().endswith(".wav")}
+                for d in (enhanced_dir, reference_dir))
     orphans = sorted(set(enh) ^ set(ref))
     if orphans:
         raise ValueError(
@@ -170,8 +171,7 @@ def cmd_evaluate(args) -> int:
         row = {"id": name, "sisdr": sisdr, "cd": cd, "loss": loss}
         ext = scores.get(Path(name).stem) or scores.get(name)
         if ext:
-            ss = mt.ScoreSet(sisdr=sisdr, cd=cd, pesq=ext["pesq"], dnsmos=ext.get("dnsmos"))
-            row["q"] = mt.validation_q(ss)
+            row["q"] = mt.validation_q(ext["pesq"], sisdr, cd)
         rows.append(row)
 
     fields = ["id", "sisdr", "cd", "loss"] + (["q"] if any("q" in r for r in rows) else [])

@@ -159,17 +159,18 @@ def _normalize_concat(segments):
     )
 
 
+def _fit(joined: np.ndarray, total: int, offset: int = 0) -> np.ndarray:
+    # total samples of joined read cyclically from offset
+    return np.take(joined, np.arange(offset, offset + total), mode="wrap")
+
+
 def assemble_clip(segments, clip_seconds: float = DEFAULT_CLIP_SECONDS) -> np.ndarray:
     """Normalize segments to a common active level, concatenate, fit to length.
 
     Concatenations shorter than the clip are tiled cyclically before the final
     truncation to exactly ``clip_seconds * SAMPLE_RATE`` samples.
     """
-    total = int(round(clip_seconds * SAMPLE_RATE))
-    joined = _normalize_concat(segments)
-    if len(joined) < total:
-        joined = np.tile(joined, total // len(joined) + 1)
-    return joined[:total]
+    return _fit(_normalize_concat(segments), int(round(clip_seconds * SAMPLE_RATE)))
 
 
 def mix_at_snr(speech: np.ndarray, noise: np.ndarray, snr_db: float):
@@ -186,20 +187,15 @@ def mix_at_snr(speech: np.ndarray, noise: np.ndarray, snr_db: float):
     return speech + scale * noise, scale
 
 
-@dataclass
-class ScaledPair:
-    mixture: np.ndarray
-    target: np.ndarray
-    factor: float
-    achieved_level_dbfs: float
-    peak_limited: bool
-
-
-def scale_pair_to_level(mixture: np.ndarray, target: np.ndarray, level_dbfs: float) -> ScaledPair:
-    """Apply one common factor so the mixture hits the requested active level.
+def scale_pair_to_level(mixture: np.ndarray, target: np.ndarray,
+                        level_dbfs: float) -> tuple[float, float, bool]:
+    """The one common factor that brings the mixture to the requested active level.
 
     If either signal would clip, the factor is reduced to peak-normalize and
     the achieved level is recorded instead.
+
+    Returns:
+        ``(factor, achieved_level_dbfs, peak_limited)``.
     """
     mixture = np.asarray(mixture, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -210,7 +206,7 @@ def scale_pair_to_level(mixture: np.ndarray, target: np.ndarray, level_dbfs: flo
     if limited:
         factor *= PEAK_LIMIT / peak
     achieved = 20.0 * math.log10(rms * factor)
-    return ScaledPair(mixture * factor, target * factor, factor, achieved, limited)
+    return factor, achieved, limited
 
 
 # ---------------------------------------------------------------------------
@@ -391,23 +387,15 @@ def generate_pair(recipe: MixtureRecipe, store: AssetStore) -> TrainingPair:
     dry = assemble_clip([store.load(i) for i in recipe.speech_ids], recipe.clip_seconds)
 
     noise_joined = _normalize_concat([store.load(i) for i in recipe.noise_ids])
-    offset = int(rng.integers(len(noise_joined)))
-    noise = np.take(noise_joined, np.arange(offset, offset + total), mode="wrap")
+    noise = _fit(noise_joined, total, int(rng.integers(len(noise_joined))))
 
     if recipe.rir_id is not None:
         rir = store.load(recipe.rir_id)
         shaped = shape_rir(rir, find_direct_sound(rir))
         speech_in, target = _convolve_each(dry, (rir, shaped), total)
     else:
-        speech_in = dry
-        target = dry.copy()
+        speech_in = target = dry
 
     mixture, _ = mix_at_snr(speech_in, noise, recipe.snr_db)
-    scaled = scale_pair_to_level(mixture, target, recipe.level_dbfs)
-    return TrainingPair(
-        noisy=scaled.mixture,
-        target=scaled.target,
-        recipe=recipe,
-        achieved_level_dbfs=scaled.achieved_level_dbfs,
-        peak_limited=scaled.peak_limited,
-    )
+    factor, achieved, limited = scale_pair_to_level(mixture, target, recipe.level_dbfs)
+    return TrainingPair(mixture * factor, target * factor, recipe, achieved, limited)

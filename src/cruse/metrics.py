@@ -10,7 +10,6 @@ cepstral distance are computed here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,16 +23,6 @@ CEPSTRAL_ORDER = 24
 # blended in with weight 0.3.
 LOSS_COMPRESSION = 0.3
 LOSS_BLEND = 0.3
-
-
-@dataclass(frozen=True)
-class ScoreSet:
-    """Per-utterance metric collection; pesq and dnsmos come from outside."""
-
-    sisdr: float
-    cd: float
-    pesq: float | None = None
-    dnsmos: float | None = None
 
 
 def level_normalize_pair(pred: np.ndarray, target: np.ndarray):
@@ -147,11 +136,9 @@ def cepstral_distance(est: np.ndarray, ref: np.ndarray,
     return float(per_frame.mean())
 
 
-def validation_q(scores: ScoreSet) -> float:
+def validation_q(pesq: float, sisdr: float, cd: float) -> float:
     """Model-selection criterion: PESQ + 0.2 * siSDR - CD."""
-    if scores.pesq is None:
-        raise ValueError("validation criterion needs an external PESQ score")
-    return scores.pesq + 0.2 * scores.sisdr - scores.cd
+    return pesq + 0.2 * sisdr - cd
 
 
 def read_scores_file(path) -> dict[str, dict[str, float]]:

@@ -465,7 +465,14 @@ def _build_graph(spec: ModelSpec, zeros) -> ModelGraph:
         c, c_out = spec.channels[L - 1 - j], chans[L - 1 - j]
         c_in = 2 * c if spec.skip_kind == "concat" else c
         # Stored as the tap matrix tconv2d_step multiplies with, which it then
-        # takes as a view instead of copying the weight on every call.
+        # takes as a view instead of copying the weight on every call.  The
+        # storage is what _tconv_taps makes of a C-ordered weight: a C-ordered
+        # copy when c_out > 1, but for the last layer (c_out = 1) the reshape
+        # is already a view, so that weight stays C-contiguous and its tap
+        # matrix is an F-ordered view.  BLAS rounds the two orders differently.
+        # The shorter zeros((c_out, kt, kf, c_in)).transpose(0, 3, 1, 2) makes
+        # every tap matrix C-ordered, which moves the output bits of the last
+        # layer (13 of the 78 parts of tests/engine_digest.py, in 8 CRUSE models).
         taps = _tconv_taps(zeros((c_out, c_in, kt, kf)))
         decoder.append(
             TconvLayer(

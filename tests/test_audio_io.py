@@ -118,6 +118,11 @@ def test_write_rejects_unknown_format(tmp_path):
         write_wav(tmp_path / "x.wav", np.zeros(10), 16000, fmt="pcm24")
 
 
+def test_write_rejects_a_two_dimensional_signal(tmp_path):
+    with pytest.raises(ValueError, match=r"mono signal, got shape \(100, 2\)"):
+        write_wav(tmp_path / "x.wav", np.zeros((100, 2)), 16000)
+
+
 # ---------------------------------------------------------------------------
 # the RIFF reader and writer against scipy.io.wavfile, and hand-built headers
 
@@ -185,3 +190,11 @@ def test_skips_an_odd_sized_list_chunk_before_data(tmp_path):
     assert len(info) % 2 == 1
     y, _ = read_wav(path)
     np.testing.assert_array_equal(y, samples / 32768.0)
+
+
+def test_rejects_a_16_bit_data_chunk_of_odd_byte_count(tmp_path):
+    fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+    path = tmp_path / "x.wav"
+    path.write_bytes(_riff((b"fmt ", fmt), (b"data", b"\x01\x00\x02\x00\x03")))
+    with pytest.raises(ValueError, match="5 bytes holds no whole number of samples"):
+        read_wav(path)

@@ -467,6 +467,37 @@ def test_evaluate_orphans_error(eval_dirs, capsys):
     assert "extra.wav" in err
 
 
+def test_evaluate_pairs_wav_files_whose_suffix_is_upper_case(eval_dirs, capsys):
+    enh, ref = eval_dirs
+    for d in (enh, ref):
+        for name in ("utt1", "utt2"):
+            (d / f"{name}.wav").rename(d / f"{name.upper()}.WAV")
+    (ref / "notes.txt").write_text("not audio")
+    code, out, _ = run(capsys, "evaluate", "--enhanced", str(enh), "--reference", str(ref),
+                       "--format", "csv")
+    assert code == 0
+    assert [l.split(",")[0] for l in out.strip().splitlines()] == ["id", "UTT1.WAV", "UTT2.WAV",
+                                                                  "mean"]
+
+
+def test_evaluate_pairs_names_exactly(eval_dirs, capsys):
+    enh, ref = eval_dirs
+    (enh / "utt1.wav").rename(enh / "utt1.WAV")
+    code, out, err = run(capsys, "evaluate", "--enhanced", str(enh), "--reference", str(ref))
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == "error: enhanced/reference file sets differ; unmatched: " \
+        "utt1.WAV, utt1.wav"
+
+
+def test_evaluate_two_empty_directories(tmp_path, capsys):
+    (tmp_path / "enh").mkdir()
+    (tmp_path / "ref").mkdir()
+    code, out, err = run(capsys, "evaluate", "--enhanced", str(tmp_path / "enh"),
+                         "--reference", str(tmp_path / "ref"))
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == "error: no WAV files to evaluate"
+
+
 @pytest.mark.parametrize("flag", ["--enhanced", "--reference"])
 @pytest.mark.parametrize("kind", ["missing", "file"])
 def test_evaluate_names_a_side_that_is_not_a_directory(eval_dirs, tmp_path, capsys, flag, kind):
@@ -569,3 +600,13 @@ def test_selftest_passes(capsys):
     assert len(lines) == 6
     assert all(l.startswith("PASS") for l in lines)
     assert all("s)" in l for l in lines)  # per-property timing reported
+
+
+def test_selftest_reports_a_check_that_raises(capsys, monkeypatch):
+    def broken():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("cruse.cli.SELFTEST_CHECKS", [("broken", broken)])
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert out.startswith("FAIL broken (") and out.rstrip().endswith("raised RuntimeError: boom")

@@ -81,6 +81,7 @@ def test_active_level_full_scale():
     assert estimate_active_level(np.ones(SR)) == 0.0
     alternating = np.tile([1.0, -1.0], SR // 2)
     assert estimate_active_level(alternating) == 0.0
+    assert active_rms(np.ones(200)) == 1.0  # shorter than one 20 ms frame: one short frame
 
 
 def test_active_level_homogeneity():
@@ -140,6 +141,11 @@ def test_assemble_tiles_short_input():
     np.testing.assert_array_equal(clip[: 3 * SR], clip[3 * SR : 6 * SR])
 
 
+def test_assemble_no_segments_errors():
+    with pytest.raises(ValueError, match="no segments"):
+        assemble_clip([])
+
+
 def test_mix_at_snr_unit_scale_at_zero():
     speech = np.tile([0.5, -0.5], SR)
     noise = np.tile([-0.5, 0.5], SR)
@@ -174,21 +180,21 @@ def test_scale_pair_unit_factor_when_already_at_level():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(SR)
     x = x * (10 ** (-28.0 / 20.0) / active_rms(x))  # put it exactly at -28 dBFS
-    scaled = scale_pair_to_level(x, x.copy(), -28.0)
-    assert scaled.factor == pytest.approx(1.0, rel=1e-9)
-    assert not scaled.peak_limited
-    assert scaled.achieved_level_dbfs == pytest.approx(-28.0, abs=1e-9)
+    factor, achieved, limited = scale_pair_to_level(x, x.copy(), -28.0)
+    assert factor == pytest.approx(1.0, rel=1e-9)
+    assert not limited
+    assert achieved == pytest.approx(-28.0, abs=1e-9)
 
 
 def test_scale_pair_peak_limits_loud_requests():
     rng = np.random.default_rng(8)
     mixture = 0.5 * rng.standard_normal(SR)
     target = 0.4 * rng.standard_normal(SR)
-    scaled = scale_pair_to_level(mixture, target, -2.0)
-    assert scaled.peak_limited
-    peak = max(np.max(np.abs(scaled.mixture)), np.max(np.abs(scaled.target)))
+    factor, achieved, limited = scale_pair_to_level(mixture, target, -2.0)
+    assert limited
+    peak = max(np.max(np.abs(mixture * factor)), np.max(np.abs(target * factor)))
     assert peak == pytest.approx(32767.0 / 32768.0, rel=1e-12)
-    assert scaled.achieved_level_dbfs < -2.0
+    assert achieved < -2.0
 
 
 def test_scale_pair_common_factor_preserves_ratio():
@@ -196,10 +202,9 @@ def test_scale_pair_common_factor_preserves_ratio():
     mixture = 0.2 * rng.standard_normal(SR)
     target = 0.1 * rng.standard_normal(SR)
     before = estimate_active_level(mixture) - estimate_active_level(target)
-    scaled = scale_pair_to_level(mixture, target, -20.0)
-    after = estimate_active_level(scaled.mixture) - estimate_active_level(scaled.target)
+    factor, _, _ = scale_pair_to_level(mixture, target, -20.0)
+    after = estimate_active_level(mixture * factor) - estimate_active_level(target * factor)
     assert abs(before - after) < 1e-9
-    np.testing.assert_allclose(scaled.target, target * scaled.factor, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +257,13 @@ def test_sample_recipe_draw_order_is_pinned(asset_store):
     rng = np.random.default_rng(2021)
     lines = "\n".join(sample_recipe(rng, asset_store).to_json() for _ in range(1000))
     assert hashlib.sha256(lines.encode()).hexdigest() == RECIPES_2021_SHA256
+
+
+@pytest.mark.parametrize("kind", ["speech", "noise"])
+def test_sample_recipe_needs_speech_and_noise(asset_store, kind):
+    store = AssetStore([e for e in asset_store.entries.values() if e.kind != kind])
+    with pytest.raises(ValueError, match="at least one speech and one noise file"):
+        sample_recipe(np.random.default_rng(1), store)
 
 
 def test_recipe_json_round_trip(asset_store):

@@ -6,7 +6,6 @@ import pytest
 from cruse.dsp import StftConfig, apply_gain, istft, stft
 from cruse.metrics import (
     LOSS_BLEND,
-    ScoreSet,
     ccmse_terms,
     cepstral_distance,
     level_normalize_pair,
@@ -190,6 +189,11 @@ def test_si_sdr_orthogonal_equal_energy_is_zero():
     assert abs(si_sdr(ref + w, ref)) < 0.01
 
 
+def test_si_sdr_orthogonal_estimate_is_the_floor():
+    ref = np.tile([1.0, 0.0], SR // 2)
+    assert si_sdr(np.roll(ref, 1), ref) == -100.0  # no projection onto the reference
+
+
 def test_si_sdr_decreases_with_noise():
     rng = np.random.default_rng(13)
     ref = rng.standard_normal(SR)
@@ -239,21 +243,37 @@ def test_cd_silent_input_errors(silent):
         cepstral_distance(signals["est"], signals["ref"])
 
 
+def _burst(start_ms, end_ms, total_ms=600):
+    # seeded noise between start_ms and end_ms, silence elsewhere
+    x = np.zeros(SR * total_ms // 1000)
+    lo, hi = SR * start_ms // 1000, SR * end_ms // 1000
+    x[lo:hi] = 0.1 * np.random.default_rng(start_ms).standard_normal(hi - lo)
+    return x
+
+
+@pytest.mark.parametrize(
+    "est, ref, message",
+    [
+        (_burst(0, 200), _burst(400, 600), "no jointly active frames"),
+        (0.1 * np.ones(SR), 0.1 * np.ones(SR + 160), "frame count"),
+    ],
+    ids=["disjoint-activity", "frame-counts"],
+)
+def test_cd_rejects_a_pair_it_cannot_compare(est, ref, message):
+    with pytest.raises(ValueError, match=message):
+        cepstral_distance(est, ref)
+
+
 # ---------------------------------------------------------------------------
 # validation criterion
 
 
 def test_validation_q_arithmetic():
-    assert validation_q(ScoreSet(sisdr=10.0, cd=3.0, pesq=2.0)) == pytest.approx(1.0)
-    assert validation_q(ScoreSet(sisdr=0.0, cd=0.0, pesq=0.0)) == 0.0
-    base = validation_q(ScoreSet(sisdr=7.0, cd=1.0, pesq=3.0))
-    bumped = validation_q(ScoreSet(sisdr=8.0, cd=1.0, pesq=3.0))
+    assert validation_q(pesq=2.0, sisdr=10.0, cd=3.0) == pytest.approx(1.0)
+    assert validation_q(pesq=0.0, sisdr=0.0, cd=0.0) == 0.0
+    base = validation_q(pesq=3.0, sisdr=7.0, cd=1.0)
+    bumped = validation_q(pesq=3.0, sisdr=8.0, cd=1.0)
     assert bumped - base == pytest.approx(0.2)
-
-
-def test_validation_q_requires_pesq():
-    with pytest.raises(ValueError):
-        validation_q(ScoreSet(sisdr=1.0, cd=1.0))
 
 
 def test_read_scores_file(tmp_path):

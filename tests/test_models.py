@@ -397,6 +397,8 @@ def test_feature_shape_validation():
     for shape in [(100,), (3, 100), (2, 3, 161)]:  # a frame, a block, 3-D
         with pytest.raises(ValueError):
             infer_frame(graph, graph.zero_state(), np.zeros(shape))
+    with pytest.raises(ValueError, match=r"expected \(frames, bins\) features"):
+        infer_utterance(graph, np.zeros(161))  # one frame is not an utterance
 
 
 def test_block_of_frames_matches_single_frames():

@@ -88,7 +88,7 @@ def _write_table(fmt: str, header, rows) -> None:
     cells = [["" if v is None else f"{v:.4f}" if isinstance(v, float) else str(v) for v in row]
              for row in rows]
     if fmt == "csv":
-        writer = csv.writer(sys.stdout)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(cells)
         return

@@ -6,8 +6,10 @@ its layer's state as one array, advances it in place and returns only its
 output block.  Recurrent cells carry their hidden vectors, causal
 convolutions a short input history, and transposed convolutions a pending
 future-tap contribution, so consecutive blocks of any length compute the
-same whole-utterance result up to rounding.  Within a block only the
-recurrent matmul runs frame by frame; everything else is one matmul.
+same whole-utterance result up to rounding.  Within a block, a recurrent
+cell's hidden matvec and gates run frame by frame, since each frame needs
+the one before; everything else is one matmul over the block.  A large cell
+shares its matmuls with one helper thread per call (``_recurrent_block``).
 
 Weight conventions (recorded in saved weight bundles):
   * matrices are row-major ``(out, in)``
@@ -24,6 +26,7 @@ Weight conventions (recorded in saved weight bundles):
 from __future__ import annotations
 
 import _thread
+import contextlib
 import functools
 import os
 
@@ -34,47 +37,119 @@ LEAKY_RELU_SLOPE = 0.2
 GRU_GATES = 3
 LSTM_GATES = 4
 
-# An input projection whose weight is at least this large runs on a helper
-# thread, started for the call, while the caller multiplies the block's first
-# hidden vector.  On a 2-vCPU host with one BLAS thread, overlapping every
-# cell made the hops of CRUSE4-128-1xGRU4 (2.8 MiB per GRU group) slower and
-# dearer in CPU time, while CRUSE5-256-2xLSTM1 (72 MiB per LSTM cell) gained
-# about 40% of a hop (measurements in CHANGES.md).
+# An input projection whose weight is at least this large runs on the
+# call's helper thread while the caller multiplies the block's first hidden
+# vector.  On a 2-vCPU host with one BLAS thread, overlapping every cell made
+# the hops of CRUSE4-128-1xGRU4 (2.8 MiB per GRU group) slower and dearer in
+# CPU time, while CRUSE5-256-2xLSTM1 (72 MiB per LSTM cell) gained about 40%
+# of a hop (measurements in CHANGES.md).
 _OVERLAP_MIN_BYTES = 16 * 2**20
 
+# In a block of at least _SPLIT_MIN_FRAMES frames, a hidden weight of at
+# least _SPLIT_MIN_BYTES (about one core's L2, so every frame streams it from
+# L3 or memory) has each frame's matvec split by rows: the helper thread
+# multiplies the top rows while the caller multiplies the rest.  The helper
+# takes about 3/8 of the rows, so that the caller rarely sleeps waiting for
+# it.  Shorter blocks pay more in hand-overs than they gain: on an NSnet2-400
+# cell, 8-frame blocks saved 10% of the wall time for 13% more CPU time, and
+# 64-frame blocks 26% for 2% less (measurements in BENCH_row_split.json).
+_SPLIT_MIN_BYTES = 2 * 2**20
+_SPLIT_MIN_FRAMES = 16
 
-def _overlap_projection(x: np.ndarray, w_input: np.ndarray, w_hidden: np.ndarray,
-                        h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(x @ w_input.T, w_hidden @ h)``, the first on a helper thread started
-    for this call while the caller computes the second; numpy releases the
-    GIL in both.  The helper is waited for before this returns, whatever the
-    caller's product does, so no thread outlives the call, and an exception
-    raised in the helper is raised here.  An interpreter that is finalizing
-    starts no thread; the caller then computes both."""
-    gi = np.empty((len(x), len(w_input)), np.result_type(x, w_input))
-    done = _thread.allocate_lock()
-    done.acquire()
-    failed = []
 
-    def project():
+def _one_blas_thread() -> bool:
+    """Whether the BLAS multiplies on one thread per call, by the rule
+    OpenBLAS (the BLAS of numpy's wheels) applies when it loads: the first of
+    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``
+    that holds a positive whole number is 1.  Without any, OpenBLAS runs one
+    thread per CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
-            np.matmul(x, w_input.T, out=gi)
-        except BaseException as exc:  # raised in the caller below
-            failed.append(exc)
-        finally:
-            done.release()
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1
+    return False
 
-    try:
-        _thread.start_new_thread(project, ())
-    except RuntimeError:
-        project()
-    try:
-        hidden = w_hidden @ h
-    finally:
-        done.acquire()
-    if failed:
-        raise failed.pop()
-    return gi, hidden
+
+# A BLAS that already runs a large matvec on every CPU gains nothing from the
+# row split, and loses: on a 2-vCPU host with OpenBLAS's default threads,
+# whole-file NSnet2-400 took twice the wall time per frame with the split.
+# Read once, as OpenBLAS reads its variables once, when numpy loads it.
+_ONE_BLAS_THREAD = _one_blas_thread()
+
+
+def _helper_rows(rows: int) -> int:
+    """The top rows of a split matvec that the helper multiplies: 3/8 of
+    ``rows``, cut down to a multiple of 8."""
+    return rows * 3 // 64 * 8
+
+
+class _Helper:
+    """A thread started for one recurrent call, which runs jobs beside the caller.
+
+    ``start(job, more)`` hands the thread a callable and returns; the first
+    call starts the thread on it.  ``wait()`` returns once the job has run
+    and raises what it raised.  With ``more`` false the thread ends after
+    that job; otherwise it waits for the next one on a ``_thread`` lock and
+    reports each through another.  Leaving the ``with`` block waits for a
+    job still running, also when the caller raises, and then ends a thread
+    still waiting, so no thread outlives the call.  An interpreter that is
+    finalizing starts no thread; ``start`` then runs the job in the caller.
+    """
+
+    def __init__(self):
+        self._job = None
+        self._failed = []
+        self._busy = False     # a job was handed over and not yet waited for
+        self._serving = False  # the thread waits for another job
+        self._ready = _thread.allocate_lock()
+        self._done = _thread.allocate_lock()
+        self._ready.acquire()
+        self._done.acquire()
+
+    def _serve(self, job, more):
+        while True:
+            try:
+                job()
+            except BaseException as exc:  # raised in the caller by wait()
+                self._failed.append(exc)
+            self._done.release()
+            if not more:
+                return
+            self._ready.acquire()
+            job, more = self._job
+
+    def start(self, job, more=True):
+        if self._serving:
+            self._job = (job, more)
+            self._ready.release()
+        else:
+            try:
+                _thread.start_new_thread(self._serve, (job, more))
+            except RuntimeError:
+                job()
+                return
+        self._busy, self._serving = True, more
+
+    def wait(self):
+        if self._busy:
+            self._done.acquire()
+            self._busy = False
+        if self._failed:
+            raise self._failed.pop()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._busy:
+            self._done.acquire()
+        if self._serving:
+            self._job = (lambda: None, False)
+            self._ready.release()
+            self._done.acquire()
 
 
 @functools.cache
@@ -112,12 +187,15 @@ def _recurrent_block(step: str, w_input: np.ndarray, w_hidden: np.ndarray,
                      b_input: np.ndarray, x: np.ndarray, state: np.ndarray, vectors: int):
     """The block and ``(vectors, w)`` state check of :func:`gru_step` and :func:`lstm_step`.
 
-    Returns the block's input projection, the first frame's hidden product
-    ``w_hidden @ state[0]`` (unread for an empty block) and the ``(T, w)``
-    output buffer.  The two products do not depend on each other, so for a
-    large ``w_input`` and a non-empty block on a multi-CPU process
-    :func:`_overlap_projection` computes them at once.  Each product is the
-    same BLAS call either way, so the bits do not depend on the thread.
+    Returns a context whose value is the block's input projection, the first
+    frame's hidden product ``w_hidden @ state[0]`` (unread for an empty
+    block), the function that gives ``w_hidden @ h`` for each later frame,
+    and the ``(T, w)`` output buffer.  On a process that may run on more
+    than one CPU, one :class:`_Helper` thread serves the block when the
+    input weight is at least ``_OVERLAP_MIN_BYTES``, or when the block has
+    at least ``_SPLIT_MIN_FRAMES`` frames, the hidden weight at least
+    ``_SPLIT_MIN_BYTES`` and the BLAS one thread (see :func:`_helped_block`);
+    leaving the context ends it.
     """
     w = w_hidden.shape[1]
     if x.ndim != 2 or x.shape[1] != w_input.shape[1] or state.shape != (vectors, w):
@@ -125,13 +203,52 @@ def _recurrent_block(step: str, w_input: np.ndarray, w_hidden: np.ndarray,
             f"{step} expects input (T, {w_input.shape[1]}) and state ({vectors}, {w}), "
             f"got {x.shape} and {state.shape}"
         )
-    if (len(x) and w_input.nbytes >= _OVERLAP_MIN_BYTES and hasattr(os, "sched_getaffinity")
+    ys = np.empty((len(x), w))
+    project = w_input.nbytes >= _OVERLAP_MIN_BYTES
+    split = (len(x) >= _SPLIT_MIN_FRAMES and w_hidden.nbytes >= _SPLIT_MIN_BYTES
+             and _ONE_BLAS_THREAD)
+    if (len(x) and (project or split) and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1):
-        gi, hidden = _overlap_projection(x, w_input, w_hidden, state[0])
-        gi += b_input
-    else:
-        gi, hidden = x @ w_input.T + b_input, w_hidden @ state[0]
-    return gi, hidden, np.empty((len(x), w))
+        return _helped_block(w_input, w_hidden, b_input, x, state[0], ys, project, split)
+    return contextlib.nullcontext(
+        (x @ w_input.T + b_input, w_hidden @ state[0], w_hidden.__matmul__, ys))
+
+
+@contextlib.contextmanager
+def _helped_block(w_input, w_hidden, b_input, x, h0, ys, project: bool, split: bool):
+    """The value of :func:`_recurrent_block`'s context, computed with a helper.
+
+    With ``project``, the helper computes the input projection while the
+    caller computes the first hidden product.  With ``split``, the helper
+    multiplies the top :func:`_helper_rows` rows of each later frame's
+    hidden product (and of the first one's, without ``project``) while the
+    caller multiplies the rest.  Each output row is the same dot product in
+    the BLAS kernel on either thread, so the bits do not depend on the
+    threads; ``tests/test_layers.py`` checks this property of the BLAS build
+    on the named models' shapes.
+    """
+    cut = _helper_rows(len(w_hidden))
+    top, bottom = w_hidden[:cut], w_hidden[cut:]
+    with _Helper() as helper:
+
+        def split_hidden(h):
+            out = np.empty(len(w_hidden), np.result_type(w_hidden, h))
+            helper.start(functools.partial(np.matmul, top, h, out=out[:cut]))
+            np.matmul(bottom, h, out=out[cut:])
+            helper.wait()
+            return out
+
+        hidden = split_hidden if split else w_hidden.__matmul__
+        if project:
+            gi = np.empty((len(x), len(w_input)), np.result_type(x, w_input))
+            helper.start(functools.partial(np.matmul, x, w_input.T, out=gi), more=split)
+            first = w_hidden @ h0
+            helper.wait()
+            gi += b_input
+        else:
+            gi = x @ w_input.T + b_input
+            first = hidden(h0)
+        yield gi, first, hidden, ys
 
 
 def gru_step(w_input: np.ndarray, w_hidden: np.ndarray, b_input: np.ndarray,
@@ -142,17 +259,18 @@ def gru_step(w_input: np.ndarray, w_hidden: np.ndarray, b_input: np.ndarray,
     ``w_hidden`` ``(3w, w)`` and the biases ``(3w,)``.  ``state`` is
     ``(1, w)``, the hidden vector ``h``, advanced in place to the last
     frame's.  The input projection of the whole block is one matmul; only
-    the recurrent matmul runs frame by frame.
+    the recurrent matmul and the gates run frame by frame.
     """
-    gi, hidden, ys = _recurrent_block("gru_step", w_input, w_hidden, b_input, x, state, 1)
-    w = ys.shape[1]
-    h = state[0]
-    for t, g in enumerate(gi):
-        gh = (w_hidden @ h if t else hidden) + b_hidden
-        rz = _sigmoid(g[: 2 * w] + gh[: 2 * w])
-        z = rz[w:]
-        n = np.tanh(g[2 * w :] + rz[:w] * gh[2 * w :])
-        h = ys[t] = z * h + (1.0 - z) * n
+    block = _recurrent_block("gru_step", w_input, w_hidden, b_input, x, state, 1)
+    with block as (gi, first, hidden, ys):
+        w = ys.shape[1]
+        h = state[0]
+        for t, g in enumerate(gi):
+            gh = (hidden(h) if t else first) + b_hidden
+            rz = _sigmoid(g[: 2 * w] + gh[: 2 * w])
+            z = rz[w:]
+            n = np.tanh(g[2 * w :] + rz[:w] * gh[2 * w :])
+            h = ys[t] = z * h + (1.0 - z) * n
     state[0] = h
     return ys
 
@@ -164,14 +282,15 @@ def lstm_step(w_input: np.ndarray, w_hidden: np.ndarray, b_input: np.ndarray,
     As :func:`gru_step`, with four stacked gates (``4w`` rows) and ``state``
     the ``(2, w)`` vectors ``h, c``.
     """
-    gi, hidden, ys = _recurrent_block("lstm_step", w_input, w_hidden, b_input, x, state, 2)
-    w = ys.shape[1]
-    h, c = state
-    for t, g in enumerate(gi):
-        gates = g + (w_hidden @ h if t else hidden) + b_hidden
-        i_f = _sigmoid(gates[: 2 * w])
-        c[...] = i_f[w:] * c + i_f[:w] * np.tanh(gates[2 * w : 3 * w])
-        h = ys[t] = _sigmoid(gates[3 * w :]) * np.tanh(c)
+    block = _recurrent_block("lstm_step", w_input, w_hidden, b_input, x, state, 2)
+    with block as (gi, first, hidden, ys):
+        w = ys.shape[1]
+        h, c = state
+        for t, g in enumerate(gi):
+            gates = g + (hidden(h) if t else first) + b_hidden
+            i_f = _sigmoid(gates[: 2 * w])
+            c[...] = i_f[w:] * c + i_f[:w] * np.tanh(gates[2 * w : 3 * w])
+            h = ys[t] = _sigmoid(gates[3 * w :]) * np.tanh(c)
     state[0] = h
     return ys
 

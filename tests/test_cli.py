@@ -223,6 +223,21 @@ def test_profile_skip_override(capsys):
     assert concat > add
 
 
+def test_profile_csv_lines_end_in_a_bare_newline():
+    # csv.writer's default line end is "\r\n"; on stdout that would leave a
+    # carriage return at the end of every last field
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-m", "cruse.cli", "profile", "NSnet2-400", "CRUSE4-128-1xGRU4",
+         "--format", "csv"],
+        env=env, capture_output=True, timeout=120, check=False)
+    assert result.returncode == 0, result.stderr
+    assert b"\r" not in result.stdout
+    lines = result.stdout.decode().split("\n")
+    assert lines[0].startswith("model,") and lines[-1] == ""
+    assert [line.split(",")[0] for line in lines[1:-1]] == ["NSnet2-400", "CRUSE4-128-1xGRU4"]
+
+
 def test_profile_unknown_name(capsys):
     code, _, err = run(capsys, "profile", "CRUSE9")
     assert code == 1

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -313,16 +314,30 @@ def _large_cell(kind, frames):
 
 
 def _count_threads(monkeypatch):
-    """Counts the threads started through ``_thread.start_new_thread`` from now on."""
+    """Counts the threads started through ``_thread.start_new_thread`` from now
+    on: one ``threading.Event`` per thread, set when the thread's function ends."""
     started = []
     start = _thread.start_new_thread
 
-    def counted(*args):
-        started.append(args)
-        return start(*args)
+    def counted(func, args, kwargs=None):
+        ended = threading.Event()
+        started.append(ended)
+
+        def run(*a, **kw):
+            try:
+                return func(*a, **kw)
+            finally:
+                ended.set()
+
+        return start(run, args, kwargs or {})
 
     monkeypatch.setattr(_thread, "start_new_thread", counted)
     return started
+
+
+def _all_ended(started):
+    # the helper returns just after it hands back its last job
+    return all(ended.wait(10) for ended in started)
 
 
 def _two_cpus(monkeypatch):
@@ -372,6 +387,198 @@ def test_large_cell_computes_its_projection_itself_when_no_thread_starts(monkeyp
 
     monkeypatch.setattr(_thread, "start_new_thread", refused)
     ys = lstm_step(*w, x, state)
+    assert ys.tobytes() == expected.tobytes()
+    assert state.tobytes() == expected_state.tobytes()
+
+
+# the shapes of the named models' hidden weights: NSnet2-400, a CRUSE4-128-1xGRU4
+# group, a CRUSE4-128-1xGRU1 cell and a CRUSE5-256-2xLSTM1 cell
+SPLIT_SHAPES = [(1200, 400), (1056, 352), (4224, 1408), (6144, 1536)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", SPLIT_SHAPES)
+def test_row_split_matvec_keeps_every_bit(shape, dtype):
+    # the split hidden product is only bit-identical to `w @ h` because this
+    # BLAS computes each output row as the same dot product whatever rows
+    # surround it; a build without that property fails here, and the engine
+    # digest would change with the number of CPUs
+    rng = np.random.default_rng(shape[0])
+    w = rng.standard_normal(shape).astype(dtype)
+    h = rng.standard_normal(shape[1]).astype(dtype)
+    cut = layers._helper_rows(shape[0])
+    assert 0 < cut < shape[0] and cut % 8 == 0
+    split = np.empty(shape[0], dtype)
+    np.matmul(w[:cut], h, out=split[:cut])
+    np.matmul(w[cut:], h, out=split[cut:])
+    assert split.tobytes() == (w @ h).tobytes()
+
+
+SPLIT_FRAMES = 17
+
+
+def _split_cell(kind, large_input):
+    """A cell whose hidden weight is over the row-split threshold, a state and
+    a block long enough to split; with ``large_input``, the input weight is
+    also over the projection threshold (the ``_large_cell`` shape)."""
+    if large_input:
+        w, x, state = _large_cell(kind, SPLIT_FRAMES)
+    else:
+        rng = np.random.default_rng(47)
+        make = random_gru if kind == "gru" else random_lstm
+        w = tuple(a / 40.0 for a in make(rng, 64, 320))
+        assert w[0].nbytes < layers._OVERLAP_MIN_BYTES
+        state = rng.standard_normal((1 if kind == "gru" else 2, 320))
+        x = rng.standard_normal((SPLIT_FRAMES, 64))
+    assert w[1].nbytes >= layers._SPLIT_MIN_BYTES
+    assert len(x) >= layers._SPLIT_MIN_FRAMES
+    return w, x, state
+
+
+def _one_blas_thread(monkeypatch):
+    # the split runs only where the BLAS multiplies on one thread per call
+    monkeypatch.setattr(layers, "_ONE_BLAS_THREAD", True)
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("env, one", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+    ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "4"}, False),
+])
+def test_one_blas_thread_reads_the_variables_in_openblas_order(env, one, monkeypatch):
+    for var in BLAS_VARIABLES:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert layers._one_blas_thread() is one
+
+
+def _count_jobs(monkeypatch):
+    jobs = []
+    start = layers._Helper.start
+
+    def counted(self, job, *args, **kwargs):
+        jobs.append(job)
+        return start(self, job, *args, **kwargs)
+
+    monkeypatch.setattr(layers._Helper, "start", counted)
+    return jobs
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+@pytest.mark.parametrize("large_input", [False, True])
+def test_long_block_with_split_hidden_products_equals_its_formula(kind, large_input,
+                                                                  monkeypatch):
+    step = gru_step if kind == "gru" else lstm_step
+    w, x, state = _split_cell(kind, large_input)
+    expected, expected_state = _cell_formula(kind, w, x, state)
+    _one_blas_thread(monkeypatch)
+    started = _count_threads(monkeypatch)
+    jobs = _count_jobs(monkeypatch)
+    ys = step(*w, x, state)
+    assert ys.tobytes() == expected.tobytes()
+    assert state.tobytes() == expected_state.tobytes()
+    # one helper thread for the call, with one job per frame: the top rows of
+    # every frame's hidden product, or the projection in place of frame 0's
+    two_cpus = len(os.sched_getaffinity(0)) > 1
+    assert len(started) == two_cpus
+    assert len(jobs) == (SPLIT_FRAMES if two_cpus else 0)
+    assert _all_ended(started)
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+@pytest.mark.parametrize("frames, one_blas_thread", [
+    (SPLIT_FRAMES, False),                 # a BLAS that runs its own threads
+    (layers._SPLIT_MIN_FRAMES - 1, True),  # a block too short to split
+])
+def test_split_size_cell_steps_in_one_thread_without_the_split(kind, frames, one_blas_thread,
+                                                               monkeypatch):
+    step = gru_step if kind == "gru" else lstm_step
+    w, x, state = _split_cell(kind, large_input=False)
+    x = x[:frames]
+    expected, expected_state = _cell_formula(kind, w, x, state)
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(layers, "_ONE_BLAS_THREAD", one_blas_thread)
+    started = _count_threads(monkeypatch)
+    ys = step(*w, x, state)
+    assert ys.tobytes() == expected.tobytes()
+    assert state.tobytes() == expected_state.tobytes()
+    assert started == []
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+@pytest.mark.parametrize("large_input", [False, True])
+def test_split_raises_what_its_helper_raised_in_a_later_frame(kind, large_input, monkeypatch):
+    step = gru_step if kind == "gru" else lstm_step
+    w, x, state = _split_cell(kind, large_input)
+    _two_cpus(monkeypatch)
+    _one_blas_thread(monkeypatch)
+    started = _count_threads(monkeypatch)
+    caller = _thread.get_ident()
+    matmul = np.matmul
+    helper_calls = []
+
+    def fails_in_frame_3(*args, **kwargs):
+        if _thread.get_ident() != caller:
+            helper_calls.append(args)
+            if len(helper_calls) == 4:  # frame 3's top rows
+                raise MemoryError("frame 3")
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", fails_in_frame_3)
+    with pytest.raises(MemoryError, match="frame 3"):
+        step(*w, x, state)
+    assert len(helper_calls) == 4
+    assert len(started) == 1
+    assert _all_ended(started)
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+def test_split_ends_its_helper_when_the_caller_raises(kind, monkeypatch):
+    # the caller's share of frame 4 raises while the helper has its rows
+    step = gru_step if kind == "gru" else lstm_step
+    w, x, state = _split_cell(kind, large_input=False)
+    _two_cpus(monkeypatch)
+    _one_blas_thread(monkeypatch)
+    started = _count_threads(monkeypatch)
+    caller = _thread.get_ident()
+    matmul = np.matmul
+    caller_calls = []
+
+    def fails_in_frame_4(*args, **kwargs):
+        if _thread.get_ident() == caller:
+            caller_calls.append(args)
+            if len(caller_calls) == 5:
+                raise MemoryError("frame 4")
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", fails_in_frame_4)
+    with pytest.raises(MemoryError, match="frame 4"):
+        step(*w, x, state)
+    assert len(started) == 1
+    assert _all_ended(started)
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
+@pytest.mark.parametrize("large_input", [False, True])
+def test_split_computes_everything_itself_when_no_thread_starts(kind, large_input, monkeypatch):
+    step = gru_step if kind == "gru" else lstm_step
+    w, x, state = _split_cell(kind, large_input)
+    expected, expected_state = _cell_formula(kind, w, x, state)
+    _two_cpus(monkeypatch)
+    _one_blas_thread(monkeypatch)
+
+    def refused(*args):
+        raise RuntimeError("can't create new thread at interpreter shutdown")
+
+    monkeypatch.setattr(_thread, "start_new_thread", refused)
+    ys = step(*w, x, state)
     assert ys.tobytes() == expected.tobytes()
     assert state.tobytes() == expected_state.tobytes()
 

@@ -250,9 +250,10 @@ print(len(started))
 
 def test_streaming_models_with_small_recurrent_cells_start_no_thread():
     # their cells (2.8 MiB and 3.7 MiB of input weights) stay below the size at
-    # which a projection moves to a helper thread, so they run as before; the
-    # count covers every thread started from Python after the wrapper, the
-    # import of cruse included
+    # which a projection moves to a helper thread, and hops of k < 16 frames
+    # never split a hidden product, so they run as before; the count covers
+    # every thread started from Python after the wrapper, the import of cruse
+    # included
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True,
                             text=True, timeout=120, check=False)

@@ -9,7 +9,7 @@ future-tap contribution, so consecutive blocks of any length compute the
 same whole-utterance result up to rounding.  Within a block, a recurrent
 cell's hidden matvec and gates run frame by frame, since each frame needs
 the one before; everything else is one matmul over the block.  A large cell
-shares its matmuls with one helper thread per call (``_recurrent_block``).
+shares its matmuls with one helper thread by one of two plans (``_helped_block``).
 
 Weight conventions (recorded in saved weight bundles):
   * matrices are row-major ``(out, in)``
@@ -37,22 +37,22 @@ LEAKY_RELU_SLOPE = 0.2
 GRU_GATES = 3
 LSTM_GATES = 4
 
-# An input projection whose weight is at least this large runs on the
-# call's helper thread while the caller multiplies the block's first hidden
-# vector.  On a 2-vCPU host with one BLAS thread, overlapping every cell made
-# the hops of CRUSE4-128-1xGRU4 (2.8 MiB per GRU group) slower and dearer in
-# CPU time, while CRUSE5-256-2xLSTM1 (72 MiB per LSTM cell) gained about 40%
-# of a hop (measurements in CHANGES.md).
+# A block too short for the split plan whose input weight is at least this
+# large takes the pairing plan: the helper computes the input projection while
+# the caller multiplies the first hidden vector.  On a 2-vCPU host with one BLAS
+# thread, pairing every cell made the hops of CRUSE4-128-1xGRU4 (2.8 MiB per GRU
+# group) slower and dearer in CPU time, while CRUSE5-256-2xLSTM1 (72 MiB per
+# LSTM cell) gained about 40% of a hop (measurements in CHANGES.md).
 _OVERLAP_MIN_BYTES = 16 * 2**20
 
-# In a block of at least _SPLIT_MIN_FRAMES frames, a hidden weight of at
-# least _SPLIT_MIN_BYTES (about one core's L2, so every frame streams it from
-# L3 or memory) has each frame's matvec split by rows: the helper thread
-# multiplies the top rows while the caller multiplies the rest.  The helper
-# takes about 3/8 of the rows, so that the caller rarely sleeps waiting for
-# it.  Shorter blocks pay more in hand-overs than they gain: on an NSnet2-400
-# cell, 8-frame blocks saved 10% of the wall time for 13% more CPU time, and
-# 64-frame blocks 26% for 2% less (measurements in BENCH_row_split.json).
+# A block of at least _SPLIT_MIN_FRAMES frames whose hidden weight is at least
+# _SPLIT_MIN_BYTES (about one core's L2, so every frame streams it from L3 or
+# memory) takes the split plan: the helper multiplies the top 3/8 of the rows
+# of the projection and of each frame's hidden matvec (so that the caller
+# rarely waits for it), the caller the rest.  Shorter blocks pay more in
+# hand-overs than they gain (on an NSnet2-400 cell, 8-frame blocks saved 10% of
+# the wall time for 13% more CPU time; BENCH_row_split.json), and OpenBLAS's
+# small-matrix kernel makes some 2- and 3-row projections differ from a split.
 _SPLIT_MIN_BYTES = 2 * 2**20
 _SPLIT_MIN_FRAMES = 16
 
@@ -73,10 +73,11 @@ def _one_blas_thread() -> bool:
     return False
 
 
-# A BLAS that already runs a large matvec on every CPU gains nothing from the
-# row split, and loses: on a 2-vCPU host with OpenBLAS's default threads,
-# whole-file NSnet2-400 took twice the wall time per frame with the split.
-# Read once, as OpenBLAS reads its variables once, when numpy loads it.
+# A BLAS that already runs a large matmul on every CPU leaves the helper thread
+# none to run on: on a 2-vCPU host with OpenBLAS's default threads, the split
+# doubled the wall time per frame of whole-file NSnet2-400, and the pairing
+# took k = 1 CRUSE5-256-2xLSTM1 hops from 10.3 to 12.7 ms.  Read once, as
+# OpenBLAS reads its variables once, when numpy loads it.
 _ONE_BLAS_THREAD = _one_blas_thread()
 
 
@@ -190,12 +191,10 @@ def _recurrent_block(step: str, w_input: np.ndarray, w_hidden: np.ndarray,
     Returns a context whose value is the block's input projection, the first
     frame's hidden product ``w_hidden @ state[0]`` (unread for an empty
     block), the function that gives ``w_hidden @ h`` for each later frame,
-    and the ``(T, w)`` output buffer.  On a process that may run on more
-    than one CPU, one :class:`_Helper` thread serves the block when the
-    input weight is at least ``_OVERLAP_MIN_BYTES``, or when the block has
-    at least ``_SPLIT_MIN_FRAMES`` frames, the hidden weight at least
-    ``_SPLIT_MIN_BYTES`` and the BLAS one thread (see :func:`_helped_block`);
-    leaving the context ends it.
+    and the ``(T, w)`` output buffer.  Where the BLAS multiplies on one
+    thread and the process may run on more than one CPU, one
+    :class:`_Helper` thread serves a block that one of
+    :func:`_helped_block`'s two plans fits; leaving the context ends it.
     """
     w = w_hidden.shape[1]
     if x.ndim != 2 or x.shape[1] != w_input.shape[1] or state.shape != (vectors, w):
@@ -204,50 +203,50 @@ def _recurrent_block(step: str, w_input: np.ndarray, w_hidden: np.ndarray,
             f"got {x.shape} and {state.shape}"
         )
     ys = np.empty((len(x), w))
-    project = w_input.nbytes >= _OVERLAP_MIN_BYTES
-    split = (len(x) >= _SPLIT_MIN_FRAMES and w_hidden.nbytes >= _SPLIT_MIN_BYTES
-             and _ONE_BLAS_THREAD)
-    if (len(x) and (project or split) and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1):
-        return _helped_block(w_input, w_hidden, b_input, x, state[0], ys, project, split)
+    split = len(x) >= _SPLIT_MIN_FRAMES and w_hidden.nbytes >= _SPLIT_MIN_BYTES
+    if (len(x) and (split or w_input.nbytes >= _OVERLAP_MIN_BYTES) and _ONE_BLAS_THREAD
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1):
+        return _helped_block(w_input, w_hidden, b_input, x, state[0], ys, split)
     return contextlib.nullcontext(
         (x @ w_input.T + b_input, w_hidden @ state[0], w_hidden.__matmul__, ys))
 
 
 @contextlib.contextmanager
-def _helped_block(w_input, w_hidden, b_input, x, h0, ys, project: bool, split: bool):
-    """The value of :func:`_recurrent_block`'s context, computed with a helper.
+def _helped_block(w_input, w_hidden, b_input, x, h0, ys, split: bool):
+    """The value of :func:`_recurrent_block`'s context, by one of two plans.
 
-    With ``project``, the helper computes the input projection while the
-    caller computes the first hidden product.  With ``split``, the helper
-    multiplies the top :func:`_helper_rows` rows of each later frame's
-    hidden product (and of the first one's, without ``project``) while the
-    caller multiplies the rest.  Each output row is the same dot product in
-    the BLAS kernel on either thread, so the bits do not depend on the
-    threads; ``tests/test_layers.py`` checks this property of the BLAS build
-    on the named models' shapes.
+    With ``split``, the helper multiplies the top :func:`_helper_rows` rows
+    of every product, first the input projection and then each frame's
+    hidden product, while the caller multiplies the rest.  Otherwise the
+    helper computes the input projection while the caller computes the first
+    hidden product, and the later frames run in the caller.  Each output
+    element is the same dot product in the BLAS kernel on either thread, so
+    the bits do not depend on the threads; ``tests/test_layers.py`` checks
+    this property of the BLAS build on the named models' shapes.
     """
-    cut = _helper_rows(len(w_hidden))
-    top, bottom = w_hidden[:cut], w_hidden[cut:]
+    gi = np.empty((len(x), len(w_input)), np.result_type(x, w_input))
     with _Helper() as helper:
+        if split:
+            cut = _helper_rows(len(w_hidden))
+            top, bottom = w_hidden[:cut], w_hidden[cut:]
 
-        def split_hidden(h):
-            out = np.empty(len(w_hidden), np.result_type(w_hidden, h))
-            helper.start(functools.partial(np.matmul, top, h, out=out[:cut]))
-            np.matmul(bottom, h, out=out[cut:])
+            def hidden(h):
+                out = np.empty(len(w_hidden), np.result_type(w_hidden, h))
+                helper.start(functools.partial(np.matmul, top, h, out=out[:cut]))
+                np.matmul(bottom, h, out=out[cut:])
+                helper.wait()
+                return out
+
+            helper.start(functools.partial(np.matmul, x, w_input[:cut].T, out=gi[:, :cut]))
+            np.matmul(x, w_input[cut:].T, out=gi[:, cut:])
             helper.wait()
-            return out
-
-        hidden = split_hidden if split else w_hidden.__matmul__
-        if project:
-            gi = np.empty((len(x), len(w_input)), np.result_type(x, w_input))
-            helper.start(functools.partial(np.matmul, x, w_input.T, out=gi), more=split)
+            first = hidden(h0)
+        else:
+            hidden = w_hidden.__matmul__
+            helper.start(functools.partial(np.matmul, x, w_input.T, out=gi), more=False)
             first = w_hidden @ h0
             helper.wait()
-            gi += b_input
-        else:
-            gi = x @ w_input.T + b_input
-            first = hidden(h0)
+        gi += b_input
         yield gi, first, hidden, ys
 
 

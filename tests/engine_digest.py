@@ -16,14 +16,17 @@ The coverage is fixed here:
 * models with seeded weights (``init_test_weights(..., 1234)``): the golden
   models, a model of each skip kind and of each kernel, GRU and LSTM
   bottlenecks with 1, 2 and 4 groups, and CRUSE4-128-1xGRU1 and
-  CRUSE5-256-2xLSTM1, whose recurrent cells are large enough to run their
-  input projection on a helper thread.  Their ``enhance_signal`` and
-  ``infer_utterance`` parts, one 20-frame block each, also split every
-  frame's hidden product by rows with that helper, as do those of
-  CRUSE4-64-2xLSTM2, CRUSE3-32-2xGRU2 and CRUSE2-8-1xLSTM1/kernel-1x3, whose
-  hidden weights (2.6-3.8 MiB) are over the split size; ``process_hop``
-  blocks (k <= 3) and ``infer_frame`` loops never split.  The helper runs
-  only where the process may use more than one CPU;
+  CRUSE5-256-2xLSTM1, whose recurrent cells are large enough for both of the
+  helper thread's plans.  Their ``process_hop`` blocks (k <= 3) and
+  ``infer_frame`` loops take the pairing plan: the helper computes the input
+  projection while the caller multiplies the first hidden vector.  Their
+  ``enhance_signal`` and ``infer_utterance`` parts, one 20-frame block each,
+  take the split plan, which splits the input projection and every frame's
+  hidden product by rows with the helper, as do those of CRUSE4-64-2xLSTM2,
+  CRUSE3-32-2xGRU2 and CRUSE2-8-1xLSTM1/kernel-1x3, whose hidden weights
+  (2.6-3.8 MiB) are over the split size; their shorter blocks take neither.
+  The helper runs only where the process may use more than one CPU and the
+  BLAS one thread, as set below;
 * for each model: its parameter arrays; ``process_hop`` with k = 1, 3, 1, 2,
   twice, then ``flush``; ``enhance_signal``; ``infer_utterance``; and a
   20-frame ``infer_frame`` loop with its final states;

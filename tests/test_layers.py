@@ -345,12 +345,18 @@ def _two_cpus(monkeypatch):
     monkeypatch.setattr(layers.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
+def _one_blas_thread(monkeypatch):
+    # and only where the BLAS multiplies on one thread per call
+    monkeypatch.setattr(layers, "_ONE_BLAS_THREAD", True)
+
+
 @pytest.mark.parametrize("kind", ["gru", "lstm"])
 @pytest.mark.parametrize("frames", [0, 1, 3])
 def test_large_cell_with_overlapped_projection_equals_its_formula(kind, frames, monkeypatch):
     step = gru_step if kind == "gru" else lstm_step
     w, x, state = _large_cell(kind, frames)
     expected, expected_state = _cell_formula(kind, w, x, state)
+    _one_blas_thread(monkeypatch)
     started = _count_threads(monkeypatch)
     ys = step(*w, x, state)
     assert ys.tobytes() == expected.tobytes()
@@ -361,10 +367,28 @@ def test_large_cell_with_overlapped_projection_equals_its_formula(kind, frames, 
 
 
 @pytest.mark.parametrize("kind", ["gru", "lstm"])
+@pytest.mark.parametrize("frames", [1, 3])
+def test_large_cell_steps_in_one_thread_beside_a_threaded_blas(kind, frames, monkeypatch):
+    # a BLAS that runs its own threads leaves the helper no CPU, so no plan
+    # starts one, even where the process may run on two CPUs
+    step = gru_step if kind == "gru" else lstm_step
+    w, x, state = _large_cell(kind, frames)
+    expected, expected_state = _cell_formula(kind, w, x, state)
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(layers, "_ONE_BLAS_THREAD", False)
+    started = _count_threads(monkeypatch)
+    ys = step(*w, x, state)
+    assert ys.tobytes() == expected.tobytes()
+    assert state.tobytes() == expected_state.tobytes()
+    assert started == []
+
+
+@pytest.mark.parametrize("kind", ["gru", "lstm"])
 def test_large_cell_raises_what_its_helper_thread_raised(kind, monkeypatch):
     step = gru_step if kind == "gru" else lstm_step
     w, x, state = _large_cell(kind, 2)
     _two_cpus(monkeypatch)
+    _one_blas_thread(monkeypatch)
     started = _count_threads(monkeypatch)
 
     def out_of_memory(*args, **kwargs):
@@ -381,6 +405,7 @@ def test_large_cell_computes_its_projection_itself_when_no_thread_starts(monkeyp
     w, x, state = _large_cell("lstm", 3)
     expected, expected_state = _cell_formula("lstm", w, x, state)
     _two_cpus(monkeypatch)
+    _one_blas_thread(monkeypatch)
 
     def refused(*args):
         raise RuntimeError("can't create new thread at interpreter shutdown")
@@ -399,10 +424,11 @@ SPLIT_SHAPES = [(1200, 400), (1056, 352), (4224, 1408), (6144, 1536)]
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("shape", SPLIT_SHAPES)
 def test_row_split_matvec_keeps_every_bit(shape, dtype):
-    # the split hidden product is only bit-identical to `w @ h` because this
-    # BLAS computes each output row as the same dot product whatever rows
-    # surround it; a build without that property fails here, and the engine
-    # digest would change with the number of CPUs
+    # the split hidden product and projection are only bit-identical to `w @ h`
+    # and `x @ w.T` because this BLAS computes each output element as the same
+    # dot product whatever rows surround it, for a projection of at least
+    # _SPLIT_MIN_FRAMES rows; a build without that property fails here, and the
+    # engine digest would change with the number of CPUs
     rng = np.random.default_rng(shape[0])
     w = rng.standard_normal(shape).astype(dtype)
     h = rng.standard_normal(shape[1]).astype(dtype)
@@ -412,6 +438,13 @@ def test_row_split_matvec_keeps_every_bit(shape, dtype):
     np.matmul(w[:cut], h, out=split[:cut])
     np.matmul(w[cut:], h, out=split[cut:])
     assert split.tobytes() == (w @ h).tobytes()
+    for frames in (16, 17, 36, 64):
+        assert frames >= layers._SPLIT_MIN_FRAMES
+        x = rng.standard_normal((frames, shape[1])).astype(dtype)
+        gi = np.empty((frames, shape[0]), dtype)
+        np.matmul(x, w[:cut].T, out=gi[:, :cut])
+        np.matmul(x, w[cut:].T, out=gi[:, cut:])
+        assert gi.tobytes() == (x @ w.T).tobytes(), frames
 
 
 SPLIT_FRAMES = 17
@@ -433,11 +466,6 @@ def _split_cell(kind, large_input):
     assert w[1].nbytes >= layers._SPLIT_MIN_BYTES
     assert len(x) >= layers._SPLIT_MIN_FRAMES
     return w, x, state
-
-
-def _one_blas_thread(monkeypatch):
-    # the split runs only where the BLAS multiplies on one thread per call
-    monkeypatch.setattr(layers, "_ONE_BLAS_THREAD", True)
 
 
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -484,11 +512,11 @@ def test_long_block_with_split_hidden_products_equals_its_formula(kind, large_in
     ys = step(*w, x, state)
     assert ys.tobytes() == expected.tobytes()
     assert state.tobytes() == expected_state.tobytes()
-    # one helper thread for the call, with one job per frame: the top rows of
-    # every frame's hidden product, or the projection in place of frame 0's
+    # one helper thread for the call, with one job for the top rows of the
+    # projection and one for those of every frame's hidden product
     two_cpus = len(os.sched_getaffinity(0)) > 1
     assert len(started) == two_cpus
-    assert len(jobs) == (SPLIT_FRAMES if two_cpus else 0)
+    assert len(jobs) == (SPLIT_FRAMES + 1 if two_cpus else 0)
     assert _all_ended(started)
 
 
@@ -527,14 +555,14 @@ def test_split_raises_what_its_helper_raised_in_a_later_frame(kind, large_input,
     def fails_in_frame_3(*args, **kwargs):
         if _thread.get_ident() != caller:
             helper_calls.append(args)
-            if len(helper_calls) == 4:  # frame 3's top rows
+            if len(helper_calls) == 5:  # frame 3's top rows, after the projection's
                 raise MemoryError("frame 3")
         return matmul(*args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", fails_in_frame_3)
     with pytest.raises(MemoryError, match="frame 3"):
         step(*w, x, state)
-    assert len(helper_calls) == 4
+    assert len(helper_calls) == 5
     assert len(started) == 1
     assert _all_ended(started)
 
@@ -554,7 +582,7 @@ def test_split_ends_its_helper_when_the_caller_raises(kind, monkeypatch):
     def fails_in_frame_4(*args, **kwargs):
         if _thread.get_ident() == caller:
             caller_calls.append(args)
-            if len(caller_calls) == 5:
+            if len(caller_calls) == 6:  # after the projection and frames 0-3
                 raise MemoryError("frame 4")
         return matmul(*args, **kwargs)
 
@@ -584,8 +612,15 @@ def test_split_computes_everything_itself_when_no_thread_starts(kind, large_inpu
 
 
 # a large LSTM cell stepped twice from one state: the second call, on a copy,
-# gives the output every later step of the same block from `state` must equal
+# gives the output every later step of the same block from `state` must equal.
+# `step_again` returns whether it did, the number of threads the step started
+# and the number it should start: one (the helper of the pairing plan) where a
+# thread may start and the process may run on two CPUs, since `_run_probe`
+# runs the BLAS on one thread
 LARGE_STEP = """
+import _thread
+import os
+
 import numpy as np
 from cruse.layers import lstm_step
 
@@ -597,22 +632,43 @@ state = np.zeros((2, 512))
 lstm_step(*w, x, state)
 expected_state = state.copy()
 expected = lstm_step(*w, x, expected_state)
+start_new_thread = _thread.start_new_thread
+
+
+def may_start_a_thread():
+    try:
+        start_new_thread(lambda: None, ())
+    except RuntimeError:  # a finalizing interpreter refuses
+        return False
+    return True
 
 
 def step_again():
-    ys = lstm_step(*w, x, state)
-    return ys.tobytes() == expected.tobytes() and state.tobytes() == expected_state.tobytes()
+    started = []
+
+    def counted(*args):
+        started.append(start_new_thread(*args))
+        return started[-1]
+
+    helpers = int(may_start_a_thread() and len(os.sched_getaffinity(0)) > 1)
+    _thread.start_new_thread = counted
+    try:
+        ys = lstm_step(*w, x, state)
+    finally:
+        _thread.start_new_thread = start_new_thread
+    same = ys.tobytes() == expected.tobytes() and state.tobytes() == expected_state.tobytes()
+    return same, len(started), helpers
 """
 
 FORK_PROBE = LARGE_STEP + """
 import faulthandler
-import os
 
 pid = os.fork()
 if pid == 0:
     # a hung child exits by itself, with its traceback, instead of outliving the test
     faulthandler.dump_traceback_later(60, exit=True)
-    os._exit(0 if step_again() else 3)
+    print(*step_again(), flush=True)
+    os._exit(0)
 _, status = os.waitpid(pid, 0)
 print(os.waitstatus_to_exitcode(status))
 """
@@ -625,7 +681,7 @@ import time
 def late():
     threading.main_thread().join()
     time.sleep(0.2)  # by now the interpreter has run its thread shutdown
-    print(step_again())
+    print(*step_again())
 
 
 threading.Thread(target=late).start()
@@ -634,36 +690,41 @@ threading.Thread(target=late).start()
 ATEXIT_PROBE = LARGE_STEP + """
 import atexit
 
-atexit.register(lambda: print(step_again()))
+atexit.register(lambda: print(*step_again()))
 """
 
 
 def _run_probe(code):
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    # one BLAS thread, so that the large step may start its helper thread
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=120, check=False)
     assert result.returncode == 0, result.stderr
-    return result
+    return result.stdout.split()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_large_step_in_a_forked_child_makes_its_own_worker():
     # the child steps with the parent's weights and state after the parent
-    # has stepped large cells; a hang there is a failure through the timeout
-    result = _run_probe(FORK_PROBE)
-    assert result.stdout.split() == ["0"], result.stderr
+    # has stepped large cells, with a helper thread of its own where two CPUs
+    # may run it; a hang there is a failure through the timeout
+    helpers = str(int(len(os.sched_getaffinity(0)) > 1))
+    assert _run_probe(FORK_PROBE) == ["True", helpers, helpers, "0"]
 
 
 def test_large_step_after_the_main_thread_ended_runs_in_its_own_thread():
     # a thread that outlives the main thread steps while the interpreter
-    # shuts down, and gets the same bits
-    result = _run_probe(SHUTDOWN_PROBE)
-    assert result.stdout.split() == ["True"], result.stderr
+    # shuts down, and gets the same bits, with a helper where one may start
+    same, started, helpers = _run_probe(SHUTDOWN_PROBE)
+    assert same == "True"
+    assert started == helpers
 
 
 def test_large_step_in_an_atexit_handler_gives_the_same_bits():
-    result = _run_probe(ATEXIT_PROBE)
-    assert result.stdout.split() == ["True"], result.stderr
+    same, started, helpers = _run_probe(ATEXIT_PROBE)
+    assert same == "True"
+    assert started == helpers
 
 
 def test_recurrent_block_rejects_wrong_rank():

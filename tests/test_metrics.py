@@ -206,6 +206,11 @@ def test_si_sdr_silent_reference_errors():
         si_sdr(np.ones(10), np.zeros(10))
 
 
+def test_si_sdr_shape_mismatch_errors():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        si_sdr(np.ones(10), np.ones(11))
+
+
 # ---------------------------------------------------------------------------
 # cepstral distance
 

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import io
 import json
 import re
 import tracemalloc
@@ -313,6 +314,14 @@ def test_bundle_bad_magic_errors(tmp_path):
 def test_bundle_malformed_manifest_or_non_finite_weight_errors(malformed_bundle):
     with pytest.raises(ValueError, match="malformed manifest|not an object|non-finite"):
         load_weights(malformed_bundle)
+
+
+def test_weight_blob_that_ends_early_raises_value_error_naming_the_path():
+    # load_weights checks the blob size first, so this guards only a file that
+    # shrinks while it is read
+    read = cruse.models._blob_source(io.BytesIO(bytes(12)), "short.cwb")
+    with pytest.raises(ValueError, match="short.cwb: weight blob ended early"):
+        read(4)
 
 
 def test_hostile_bundle_raises_value_error_naming_the_path(hostile_bundle):

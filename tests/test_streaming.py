@@ -253,8 +253,9 @@ def test_streaming_models_with_small_recurrent_cells_start_no_thread():
     # which a projection moves to a helper thread, and hops of k < 16 frames
     # never split a hidden product, so they run as before; the count covers
     # every thread started from Python after the wrapper, the import of cruse
-    # included
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    # included; the BLAS runs one thread, which opens the helper's gate
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
     result = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True,
                             text=True, timeout=120, check=False)
     assert result.returncode == 0, result.stderr
